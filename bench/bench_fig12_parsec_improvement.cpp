@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.scale.length_scale = 0.6;  // 16 schedulable threads per mix
   const auto summary =
-      core::sweep_pool(config, workload::parsec_pool(), 4,
-                       static_cast<std::size_t>(per_benchmark), /*multithreaded=*/true);
+      core::run_sweep(config, workload::parsec_pool(), 4,
+                      static_cast<std::size_t>(per_benchmark), /*multithreaded=*/true)
+          .summary;
   bench::print_improvements("two-phase multithreaded allocation, chosen-vs-worst-of-sample:",
                             summary);
   std::printf(

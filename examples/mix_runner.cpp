@@ -7,6 +7,7 @@
 //   ./mix_runner --mix mcf,omnetpp,gcc,bzip2,libquantum,povray,gobmk,hmmer
 //                --cores 4 --l2-kb 512
 #include <cstdio>
+#include <exception>
 #include <sstream>
 
 #include "core/experiment.hpp"
@@ -16,7 +17,9 @@
 #include "util/csv.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("mix_runner", "run one mix end to end, any configuration");
@@ -111,4 +114,17 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", report_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    // Invalid configurations (zero cores, a non-positive --scale, an
+    // unknown program) surface as exceptions: report them, exit 2.
+    std::fprintf(stderr, "mix_runner: %s\n", e.what());
+    return 2;
+  }
 }

@@ -80,7 +80,7 @@ if _ANALYZE_DIR not in sys.path:
     sys.path.insert(0, _ANALYZE_DIR)
 
 import waivers
-from waivers import Finding, Waiver, WaiverGrammar
+from waivers import Finding, Waiver, WaiverGrammar, strip_strings_and_comments
 
 SYMDET_GRAMMAR = WaiverGrammar(
     tool="symdet",
@@ -130,52 +130,6 @@ INT_LITERAL_RE = re.compile(r"^(?:0[xX][0-9a-fA-F']+|\d[\d']*)(?:[uU]?[lL]{0,2}|
 def fail_usage(message: str) -> "NoReturn":  # noqa: F821
     print(f"determinism.py: {message}", file=sys.stderr)
     sys.exit(2)
-
-
-# --------------------------------------------------------------------------
-# Lexing: comment/string stripping (same contract as scripts/lint.py)
-
-
-def strip_strings_and_comments(line: str, in_block_comment: bool = False) -> tuple[str, bool]:
-    """Strip string/char contents and comments from one line; returns the
-    stripped code and whether a /* */ block comment stays open."""
-    out: list[str] = []
-    quote: str | None = None
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if in_block_comment:
-            end = line.find("*/", i)
-            if end < 0:
-                return "".join(out), True
-            out.append(" ")
-            i = end + 2
-            in_block_comment = False
-            continue
-        if quote:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-                out.append(ch)
-            i += 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            out.append(ch)
-            i += 1
-            continue
-        if line.startswith("//", i):
-            break
-        if line.startswith("/*", i):
-            in_block_comment = True
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block_comment
 
 
 @dataclass

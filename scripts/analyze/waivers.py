@@ -13,8 +13,9 @@ Both tools use the same two-way contract:
   * waivers that suppress nothing, registry entries matching no inline
     waiver, and malformed waiver comments are themselves findings.
 
-This module owns the grammar-independent pieces: the Finding/Waiver value
-types, the comment scanner (including the "comment-only line covers the next
+This module owns the grammar-independent pieces: the C++ comment/string
+stripper (also scripts/lint.py's), the Finding/Waiver value types, the
+comment scanner (including the "comment-only line covers the next
 code line within 3 lines" rule), waiver application, and the registry
 load/reconcile logic. Each tool supplies a WaiverGrammar describing its
 comment tag and payload shape, and keeps its own checker logic.
@@ -34,10 +35,17 @@ from typing import Callable, NoReturn
 
 
 def strip_strings_and_comments(line: str, in_block_comment: bool = False) -> tuple[str, bool]:
-    """Strip string/char contents and comments from one line; returns the
-    stripped code and whether a /* */ block comment stays open. Same contract
-    as scripts/lint.py's stripper (symhot uses this copy; symdet keeps its own
-    alongside its offset-tracking scanner)."""
+    """Remove string/char literal contents, // line comments and /* */ block
+    comments from one line of C++. The one stripper shared by lint.py,
+    symdet and symhot.
+
+    Returns (code, in_block_comment'): the stripped code and whether a block
+    comment is still open after this line -- feed that back in for the next
+    line. Stripped comments are replaced by a single space (like the
+    preprocessor) so adjacent tokens do not fuse. Comment markers inside
+    string literals are literal text, not comments; quotes inside comments do
+    not open strings.
+    """
     out: list[str] = []
     quote: str | None = None
     i = 0

@@ -32,6 +32,12 @@ import re
 import sys
 from pathlib import Path
 
+_ANALYZE_DIR = str(Path(__file__).resolve().parent / "analyze")
+if _ANALYZE_DIR not in sys.path:
+    sys.path.insert(0, _ANALYZE_DIR)
+
+from waivers import strip_strings_and_comments
+
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".hh"}
 HEADER_SUFFIXES = {".hpp", ".h", ".hh"}
 
@@ -44,56 +50,6 @@ USING_NAMESPACE = re.compile(r"^\s*using\s+namespace\b")
 # match -- only the owning declaration needs the annotation.
 MUTEX_DECL = re.compile(r"\b(?:std::mutex|(?:util::)?Mutex)\s+(\w+)\s*;")
 UNGUARDED_WAIVER = re.compile(r"//\s*symlint:\s*unguarded")
-
-
-def strip_strings_and_comments(line: str, in_block_comment: bool = False) -> tuple[str, bool]:
-    """Remove string/char literal contents, // line comments and /* */ block
-    comments from one line of C++.
-
-    Returns (code, in_block_comment'): the stripped code and whether a block
-    comment is still open after this line -- feed that back in for the next
-    line. Stripped comments are replaced by a single space (like the
-    preprocessor) so adjacent tokens do not fuse. Comment markers inside
-    string literals are literal text, not comments; quotes inside comments do
-    not open strings.
-    """
-    out: list[str] = []
-    quote: str | None = None
-    i = 0
-    n = len(line)
-    while i < n:
-        ch = line[i]
-        if in_block_comment:
-            end = line.find("*/", i)
-            if end < 0:
-                return "".join(out), True
-            out.append(" ")
-            i = end + 2
-            in_block_comment = False
-            continue
-        if quote:
-            if ch == "\\":
-                i += 2
-                continue
-            if ch == quote:
-                quote = None
-                out.append(ch)
-            i += 1
-            continue
-        if ch in "\"'":
-            quote = ch
-            out.append(ch)
-            i += 1
-            continue
-        if line.startswith("//", i):
-            break
-        if line.startswith("/*", i):
-            in_block_comment = True
-            i += 2
-            continue
-        out.append(ch)
-        i += 1
-    return "".join(out), in_block_comment
 
 
 def check_file(path: Path) -> list[tuple[str, int, str, str]]:

@@ -88,8 +88,8 @@ struct HierarchyTopology {
 
   /// True when this topology is expressible by the pre-graph two-level
   /// implementation: one shared L2 (or all-private L2s), no L3, no way
-  /// partitions. Degenerate topologies keep run-report schema v1 and are
-  /// proven bit-identical to the legacy path.
+  /// partitions. The differential-hierarchy suite proves degenerate
+  /// topologies bit-identical to its legacy reference model.
   [[nodiscard]] bool degenerate() const noexcept {
     return !l3.has_value() && (!l2_shared || l2_clusters == 1) && !l2_partition.enabled() &&
            !l3_partition.enabled();

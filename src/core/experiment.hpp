@@ -80,16 +80,17 @@ struct BenchmarkImprovement {
 /// Everything one sweep produced: the sampled mixes, the raw per-mix
 /// outcomes (in mix order, independent of execution interleaving), and the
 /// per-benchmark summary. Report export and the determinism suite need the
-/// raw outcomes; sweep_pool() keeps returning just the summary.
+/// raw outcomes; the figure benches need only the summary.
 struct SweepResult {
   std::vector<std::vector<std::string>> mixes;
   std::vector<MixOutcome> outcomes;
   std::vector<BenchmarkImprovement> summary;
 };
 
-/// Full-fidelity sweep driver: sample mixes, run experiments (in parallel
-/// when @p pool_threads is non-null), summarize. Outcomes are stored at the
-/// index of their mix, so the result is identical for any worker count.
+/// Single-allocator sweep: run_sweep_grid over {config.allocator} with one
+/// replicate (so every mix runs at config.seed), then summarize. Outcomes
+/// are stored at the index of their mix, so the result is identical for any
+/// worker count.
 [[nodiscard]] SweepResult run_sweep(const PipelineConfig& config,
                                     const std::vector<std::string>& pool, std::size_t mix_size,
                                     std::size_t per_benchmark, bool multithreaded = false,
@@ -120,8 +121,8 @@ struct SweepGridResult {
 /// pipeline seed from a per-cell substream of config.seed (util::Rng
 /// .split(cell), the sanctioned per-shard pattern), so the result is
 /// BIT-IDENTICAL for any worker count — the determinism suite pins this at
-/// 1/2/8 workers. Replicate 0 keeps config.seed itself, so a grid over
-/// {config.allocator} with one replicate reproduces run_sweep exactly.
+/// 1/2/8 workers. Replicate 0 keeps config.seed itself; run_sweep is the
+/// grid over {config.allocator} with one replicate.
 [[nodiscard]] SweepGridResult run_sweep_grid(const PipelineConfig& config,
                                              const std::vector<std::string>& pool,
                                              std::size_t mix_size, std::size_t per_benchmark,
@@ -129,11 +130,5 @@ struct SweepGridResult {
                                              std::size_t seed_replicates = 1,
                                              bool multithreaded = false,
                                              util::ThreadPool* pool_threads = nullptr);
-
-/// Convenience driver for Figs 10–12: run_sweep, keep only the summary.
-[[nodiscard]] std::vector<BenchmarkImprovement> sweep_pool(
-    const PipelineConfig& config, const std::vector<std::string>& pool, std::size_t mix_size,
-    std::size_t per_benchmark, bool multithreaded = false,
-    util::ThreadPool* pool_threads = nullptr);
 
 }  // namespace symbiosis::core

@@ -27,11 +27,7 @@ obs::Json string_array(const std::vector<std::string>& values) {
 obs::Json report_envelope(std::string kind, const PipelineConfig& config) {
   obs::Json report = obs::Json::object();
   report.set("schema", obs::Json(kReportSchema));
-  // Degenerate two-level machines keep the v1 stamp (and the v1 document,
-  // byte for byte); only cluster/L3/partition topologies move to v2.
-  const bool degenerate = config.machine.hierarchy.topology().degenerate();
-  report.set("schema_version",
-             obs::Json(degenerate ? kLegacyReportSchemaVersion : kReportSchemaVersion));
+  report.set("schema_version", obs::Json(kReportSchemaVersion));
   report.set("kind", obs::Json(std::move(kind)));
   report.set("config", pipeline_config_to_json(config));
   return report;
@@ -54,25 +50,22 @@ obs::Json pipeline_config_to_json(const PipelineConfig& config) {
   machine.set("l2_ways", obs::Json(static_cast<std::uint64_t>(h.l2.ways)));
   machine.set("line_bytes", obs::Json(static_cast<std::uint64_t>(h.l1.line_bytes)));
   machine.set("shared_l2", obs::Json(h.shared_l2));
-  // Graph-shape fields exist only on non-degenerate topologies so the v1
-  // (degenerate) machine object — and the golden fixture — never changes.
+  // Optional graph parts (L3, way partitions) appear only when configured.
   const cachesim::HierarchyTopology topo = h.topology();
-  if (!topo.degenerate()) {
-    machine.set("l2_clusters", obs::Json(static_cast<std::uint64_t>(topo.clusters())));
-    machine.set("topology", obs::Json(topo.describe()));
-    if (topo.l3) {
-      machine.set("l3_bytes", obs::Json(static_cast<std::uint64_t>(topo.l3->size_bytes)));
-      machine.set("l3_ways", obs::Json(static_cast<std::uint64_t>(topo.l3->ways)));
-      machine.set("l3_replacement", obs::Json(cachesim::to_string(h.l3_replacement)));
-    }
-    if (topo.l2_partition.enabled()) {
-      machine.set("l2_way_partition", u64_array({topo.l2_partition.ways_per_group.begin(),
-                                                 topo.l2_partition.ways_per_group.end()}));
-    }
-    if (topo.l3_partition.enabled()) {
-      machine.set("l3_way_partition", u64_array({topo.l3_partition.ways_per_group.begin(),
-                                                 topo.l3_partition.ways_per_group.end()}));
-    }
+  machine.set("l2_clusters", obs::Json(static_cast<std::uint64_t>(topo.clusters())));
+  machine.set("topology", obs::Json(topo.describe()));
+  if (topo.l3) {
+    machine.set("l3_bytes", obs::Json(static_cast<std::uint64_t>(topo.l3->size_bytes)));
+    machine.set("l3_ways", obs::Json(static_cast<std::uint64_t>(topo.l3->ways)));
+    machine.set("l3_replacement", obs::Json(cachesim::to_string(h.l3_replacement)));
+  }
+  if (topo.l2_partition.enabled()) {
+    machine.set("l2_way_partition", u64_array({topo.l2_partition.ways_per_group.begin(),
+                                               topo.l2_partition.ways_per_group.end()}));
+  }
+  if (topo.l3_partition.enabled()) {
+    machine.set("l3_way_partition", u64_array({topo.l3_partition.ways_per_group.begin(),
+                                               topo.l3_partition.ways_per_group.end()}));
   }
   machine.set("quantum_cycles", obs::Json(config.machine.quantum_cycles));
   machine.set("quantum_jitter", obs::Json(config.machine.quantum_jitter));
@@ -103,7 +96,6 @@ obs::Json mapping_run_to_json(const MappingRun& run) {
   out.set("wall_cycles", obs::Json(run.wall_cycles));
   out.set("completed", obs::Json(run.completed));
   if (!run.levels.empty()) {
-    // Schema v2 only: absent on degenerate (v1) machines by construction.
     obs::Json levels = obs::Json::array();
     for (const auto& level : run.levels) {
       obs::Json entry = obs::Json::object();
@@ -254,9 +246,7 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
                                     std::size_t workers, const obs::PhaseTimings& timings) {
   obs::Json report = obs::Json::object();
   report.set("schema", obs::Json(kReportSchema));
-  const bool degenerate = machine.topology().degenerate();
-  report.set("schema_version",
-             obs::Json(degenerate ? kLegacyReportSchemaVersion : kReportSchemaVersion));
+  report.set("schema_version", obs::Json(kReportSchemaVersion));
   report.set("kind", obs::Json("trace_replay"));
 
   obs::Json machine_json = obs::Json::object();
@@ -265,9 +255,7 @@ obs::Json build_trace_replay_report(const cachesim::HierarchyConfig& machine,
   machine_json.set("l2_bytes", obs::Json(static_cast<std::uint64_t>(machine.l2.size_bytes)));
   machine_json.set("line_bytes", obs::Json(static_cast<std::uint64_t>(machine.l1.line_bytes)));
   machine_json.set("shared_l2", obs::Json(machine.shared_l2));
-  if (!degenerate) {
-    machine_json.set("topology", obs::Json(machine.topology().describe()));
-  }
+  machine_json.set("topology", obs::Json(machine.topology().describe()));
   obs::Json config = obs::Json::object();
   config.set("seed", obs::Json(machine.seed));
   config.set("allocator", obs::Json("none"));
@@ -356,7 +344,7 @@ void validate_mapping(const obs::Json& mapping, const std::string& where,
       names->size() != cycles->size()) {
     problems.push_back(where + ": names and user_cycles lengths differ");
   }
-  // "levels" is optional (schema v2 non-degenerate machines only), but when
+  // "levels" is optional (hand-built outcomes may lack it), but when
   // present each entry must carry the full counter set.
   if (const obs::Json* levels = mapping.find("levels")) {
     if (!levels->is_array()) {
@@ -422,11 +410,9 @@ std::vector<std::string> validate_report(const obs::Json& report) {
                        schema->as_string() + "\"");
   }
   const obs::Json* version = report.find("schema_version");
-  if (version && version->is_number() && version->as_u64() != kReportSchemaVersion &&
-      version->as_u64() != kLegacyReportSchemaVersion) {
-    problems.push_back("schema_version: expected " + std::to_string(kLegacyReportSchemaVersion) +
-                       " or " + std::to_string(kReportSchemaVersion) + ", got " +
-                       std::to_string(version->as_u64()));
+  if (version && version->is_number() && version->as_u64() != kReportSchemaVersion) {
+    problems.push_back("schema_version: expected " + std::to_string(kReportSchemaVersion) +
+                       ", got " + std::to_string(version->as_u64()));
   }
 
   const obs::Json* config = report.find("config");

@@ -28,15 +28,12 @@
 namespace symbiosis::core {
 
 /// Schema identifier + version stamped into (and checked out of) reports.
-/// Version policy: reports from DEGENERATE topologies (one shared L2 or
-/// all-private L2s, no L3, no way partitions — topology.hpp) are stamped
-/// v1 and stay byte-identical to the pre-graph implementation (the golden
-/// fixture pins this). Non-degenerate topologies stamp v2, which adds the
-/// cluster/L3/partition machine fields and per-mapping "levels" stats.
-/// validate_report accepts both.
+/// Every topology stamps v2: the machine object carries the cluster count
+/// and topology description (plus L3/partition fields when configured) and
+/// every measured mapping carries per-level "levels" stats. validate_report
+/// accepts only v2.
 inline constexpr std::string_view kReportSchema = "symbiosis.run_report";
 inline constexpr std::uint64_t kReportSchemaVersion = 2;
-inline constexpr std::uint64_t kLegacyReportSchemaVersion = 1;
 
 /// The pipeline knobs that determine a run's outcome, as a JSON object.
 [[nodiscard]] obs::Json pipeline_config_to_json(const PipelineConfig& config);

@@ -99,11 +99,8 @@ sched::Allocation SymbioticScheduler::choose_allocation_mt(const std::vector<std
 
 namespace {
 
-/// Attach per-level cache counters (schema v2). Degenerate two-level
-/// machines skip this so their v1 report stays byte-identical to the
-/// pre-graph implementation.
+/// Attach per-level cache counters (the report's per-mapping "levels").
 void collect_level_stats(const machine::Machine& m, MappingRun& run) {
-  if (m.config().hierarchy.topology().degenerate()) return;
   const cachesim::Hierarchy& h = m.hierarchy();
   run.levels.push_back({"l1", h.level_stats("l1")});
   run.levels.push_back({"l2", h.level_stats("l2")});

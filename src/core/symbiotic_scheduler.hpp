@@ -64,10 +64,7 @@ struct MappingRun {
   std::vector<std::uint64_t> user_cycles;  ///< first-completion user time
   std::uint64_t wall_cycles = 0;         ///< simulated time until all completed
   bool completed = false;
-  /// Per-level cache counters ("l1", "l2", then "l3" when present) — only
-  /// populated on non-degenerate topologies, where the run report is
-  /// stamped schema v2; degenerate machines keep the v1 document
-  /// byte-identical.
+  /// Per-level cache counters ("l1", "l2", then "l3" when present).
   std::vector<NamedLevelStats> levels;
 
   /// Field-wise equality (the determinism suite compares whole runs).

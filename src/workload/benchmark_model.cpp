@@ -73,11 +73,17 @@ PatternSpec pat(PatternKind kind, double region_bytes, const ScaleConfig& s) {
   return p;
 }
 
-std::uint64_t refs(double n, const ScaleConfig& s) {
-  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(n * s.length_scale));
-}
-
 }  // namespace
+
+std::uint64_t scaled_refs(double n, const ScaleConfig& scale) {
+  const double scaled = n * scale.length_scale;
+  // Also rejects NaN: every comparison with it is false.
+  if (!(scale.length_scale > 0.0 && scaled < 0x1p64)) {
+    throw std::invalid_argument("length_scale must be finite and positive, got " +
+                                std::to_string(scale.length_scale));
+  }
+  return std::max<std::uint64_t>(1, static_cast<std::uint64_t>(scaled));
+}
 
 BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s) {
   const auto l2 = static_cast<double>(s.l2_bytes);
@@ -89,51 +95,51 @@ BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s)
     // much on the L2").
     PatternSpec p = pat(PatternKind::Zipf, 0.06 * l2, s);
     p.zipf_skew = 1.1;
-    b.phases.push_back({p, 40.0, 0.15, refs(60'000, s)});
-    b.total_refs = refs(700'000, s);
+    b.phases.push_back({p, 40.0, 0.15, scaled_refs(60'000, s)});
+    b.total_refs = scaled_refs(700'000, s);
   } else if (name == "gobmk") {
     // Go engine: branchy compute with a modest board/state working set.
     PatternSpec p = pat(PatternKind::Zipf, 0.18 * l2, s);
     p.zipf_skew = 0.9;
-    b.phases.push_back({p, 22.0, 0.25, refs(60'000, s)});
-    b.total_refs = refs(1'000'000, s);
+    b.phases.push_back({p, 22.0, 0.25, scaled_refs(60'000, s)});
+    b.total_refs = scaled_refs(1'000'000, s);
   } else if (name == "sjeng") {
     // Chess search: hash-table probes with decent temporal locality.
     PatternSpec p = pat(PatternKind::StackDistance, 0.3 * l2, s);
     p.locality = 0.85;
-    b.phases.push_back({p, 18.0, 0.3, refs(70'000, s)});
-    b.total_refs = refs(1'000'000, s);
+    b.phases.push_back({p, 18.0, 0.3, scaled_refs(70'000, s)});
+    b.total_refs = scaled_refs(1'000'000, s);
   } else if (name == "perlbench") {
     // Interpreter: skewed hot bytecode/data structures.
     PatternSpec p = pat(PatternKind::Zipf, 0.4 * l2, s);
     p.zipf_skew = 0.9;
-    b.phases.push_back({p, 14.0, 0.3, refs(80'000, s)});
-    b.total_refs = refs(1'100'000, s);
+    b.phases.push_back({p, 14.0, 0.3, scaled_refs(80'000, s)});
+    b.total_refs = scaled_refs(1'100'000, s);
   } else if (name == "h264ref") {
     // Video encoder: frame-strided scans plus a hot context.
     PatternSpec scan = pat(PatternKind::Strided, 0.4 * l2, s);
     scan.stride_bytes = 2 * s.line_bytes;
     PatternSpec ctx = pat(PatternKind::Zipf, 0.12 * l2, s);
     ctx.zipf_skew = 1.0;
-    b.phases.push_back({scan, 12.0, 0.35, refs(50'000, s)});
-    b.phases.push_back({ctx, 16.0, 0.25, refs(40'000, s)});
-    b.total_refs = refs(1'200'000, s);
+    b.phases.push_back({scan, 12.0, 0.35, scaled_refs(50'000, s)});
+    b.phases.push_back({ctx, 16.0, 0.25, scaled_refs(40'000, s)});
+    b.total_refs = scaled_refs(1'200'000, s);
   } else if (name == "gcc") {
     // Compiler: phase churn between a hot IR set and sweeping passes.
     PatternSpec hot = pat(PatternKind::Zipf, 0.25 * l2, s);
     hot.zipf_skew = 0.8;
     PatternSpec sweep = pat(PatternKind::Random, 0.8 * l2, s);
-    b.phases.push_back({hot, 12.0, 0.35, refs(60'000, s)});
-    b.phases.push_back({sweep, 10.0, 0.35, refs(30'000, s)});
-    b.total_refs = refs(850'000, s);
+    b.phases.push_back({hot, 12.0, 0.35, scaled_refs(60'000, s)});
+    b.phases.push_back({sweep, 10.0, 0.35, scaled_refs(30'000, s)});
+    b.total_refs = scaled_refs(850'000, s);
   } else if (name == "bzip2") {
     // Block compressor: sequential block scans plus sort tables.
     PatternSpec seq = pat(PatternKind::Sequential, 0.6 * l2, s);
     PatternSpec tables = pat(PatternKind::Zipf, 0.3 * l2, s);
     tables.zipf_skew = 0.7;
-    b.phases.push_back({seq, 9.0, 0.4, refs(50'000, s)});
-    b.phases.push_back({tables, 11.0, 0.35, refs(50'000, s)});
-    b.total_refs = refs(1'200'000, s);
+    b.phases.push_back({seq, 9.0, 0.4, scaled_refs(50'000, s)});
+    b.phases.push_back({tables, 11.0, 0.35, scaled_refs(50'000, s)});
+    b.total_refs = scaled_refs(1'200'000, s);
   } else if (name == "astar") {
     // Path search: dependent graph walk over a medium region, interleaved
     // with heap scans and map reads so only part of its time is exposed to
@@ -142,10 +148,10 @@ BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s)
     PatternSpec heap = pat(PatternKind::Zipf, 0.25 * l2, s);
     heap.zipf_skew = 0.8;
     PatternSpec scan = pat(PatternKind::Stream, 1.2 * l2, s);
-    b.phases.push_back({p, 12.0, 0.25, refs(25'000, s)});
-    b.phases.push_back({heap, 14.0, 0.3, refs(55'000, s)});
-    b.phases.push_back({scan, 10.0, 0.25, refs(20'000, s)});
-    b.total_refs = refs(1'000'000, s);
+    b.phases.push_back({p, 12.0, 0.25, scaled_refs(25'000, s)});
+    b.phases.push_back({heap, 14.0, 0.3, scaled_refs(55'000, s)});
+    b.phases.push_back({scan, 10.0, 0.25, scaled_refs(20'000, s)});
+    b.total_refs = scaled_refs(1'000'000, s);
   } else if (name == "hmmer") {
     // Profile HMM search: §5.1.1 calls it bandwidth-bound — "low locality
     // yet high memory traffic"; schedule-insensitive because its streaming
@@ -156,9 +162,9 @@ BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s)
     PatternSpec scan = pat(PatternKind::Stream, 8.0 * l2, s);
     PatternSpec profile = pat(PatternKind::Zipf, 0.08 * l2, s);
     profile.zipf_skew = 0.9;
-    b.phases.push_back({scan, 5.0, 0.2, refs(12'000, s)});
-    b.phases.push_back({profile, 6.0, 0.25, refs(88'000, s)});
-    b.total_refs = refs(900'000, s);
+    b.phases.push_back({scan, 5.0, 0.2, scaled_refs(12'000, s)});
+    b.phases.push_back({profile, 6.0, 0.25, scaled_refs(88'000, s)});
+    b.total_refs = scaled_refs(900'000, s);
   } else if (name == "libquantum") {
     // Quantum register simulation: streams a huge array — the footprint
     // aggressor of Fig 3(b) — with a shorter reuse phase that makes its own
@@ -166,16 +172,16 @@ BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s)
     PatternSpec stream = pat(PatternKind::Stream, 4.0 * l2, s);
     PatternSpec reuse = pat(PatternKind::Strided, 0.45 * l2, s);
     reuse.stride_bytes = s.line_bytes;
-    b.phases.push_back({stream, 3.0, 0.5, refs(60'000, s)});
-    b.phases.push_back({reuse, 4.0, 0.4, refs(40'000, s)});
-    b.total_refs = refs(750'000, s);
+    b.phases.push_back({stream, 3.0, 0.5, scaled_refs(60'000, s)});
+    b.phases.push_back({reuse, 4.0, 0.4, scaled_refs(40'000, s)});
+    b.total_refs = scaled_refs(750'000, s);
   } else if (name == "omnetpp") {
     // Discrete-event simulator: large skewed heap — sensitive victim
     // (49% max improvement in Fig 10).
     PatternSpec p = pat(PatternKind::Zipf, 1.2 * l2, s);
     p.zipf_skew = 0.9;
-    b.phases.push_back({p, 7.0, 0.35, refs(90'000, s)});
-    b.total_refs = refs(900'000, s);
+    b.phases.push_back({p, 7.0, 0.35, scaled_refs(90'000, s)});
+    b.total_refs = scaled_refs(900'000, s);
   } else if (name == "mcf") {
     // Network simplex: pointer-chase that just fits the L2 when running
     // alone and thrashes when sharing — the most sensitive program
@@ -184,10 +190,10 @@ BenchmarkSpec make_spec_benchmark(const std::string& name, const ScaleConfig& s)
     PatternSpec hot = pat(PatternKind::Zipf, 0.3 * l2, s);
     hot.zipf_skew = 1.0;
     PatternSpec cold = pat(PatternKind::Stream, 2.0 * l2, s);
-    b.phases.push_back({chase, 4.0, 0.3, refs(35'000, s)});
-    b.phases.push_back({hot, 6.0, 0.3, refs(45'000, s)});
-    b.phases.push_back({cold, 4.0, 0.3, refs(20'000, s)});
-    b.total_refs = refs(1'100'000, s);
+    b.phases.push_back({chase, 4.0, 0.3, scaled_refs(35'000, s)});
+    b.phases.push_back({hot, 6.0, 0.3, scaled_refs(45'000, s)});
+    b.phases.push_back({cold, 4.0, 0.3, scaled_refs(20'000, s)});
+    b.total_refs = scaled_refs(1'100'000, s);
   } else {
     throw std::invalid_argument("unknown SPEC2006 model: " + name);
   }

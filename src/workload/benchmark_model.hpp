@@ -101,6 +101,11 @@ struct ScaleConfig {
   std::uint64_t line_bytes = 64;
 };
 
+/// @p n references times scale.length_scale, at least 1. Throws
+/// std::invalid_argument when length_scale is not finite and positive, or
+/// when the product does not fit in 64 bits.
+[[nodiscard]] std::uint64_t scaled_refs(double n, const ScaleConfig& scale);
+
 /// The paper's 12-program SPEC CPU2006 stand-in pool, in a fixed order.
 [[nodiscard]] const std::vector<std::string>& spec2006_pool();
 

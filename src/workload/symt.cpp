@@ -220,7 +220,7 @@ SymtTrace::SymtTrace(std::shared_ptr<Image> image, std::string path)
   const std::uint32_t version = get_u32(data_ + 4);
   if (version != kSymtVersion) {
     fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kSymtVersion) + "; version 1 is the legacy trace.hpp format)");
+         std::to_string(kSymtVersion) + ")");
   }
   const std::uint32_t threads = get_u32(data_ + 8);
   if (threads == 0) fail("zero threads");

@@ -26,11 +26,10 @@
 //   Signal:      varint event_id
 //   Wait:        varint event_id, varint partner_thread
 //
-// Version 1 ("SYMT", version 1) is the legacy fixed-width single-stream
-// format of workload/trace.hpp; readers of either version reject the other
-// with a diagnostic, never undefined behaviour. Every decode is bounds-
-// checked: truncated headers, overrunning thread tables, mid-record EOF and
-// varint overflow all throw std::runtime_error naming the problem.
+// Any other version (including the retired fixed-width version 1) is
+// rejected with a diagnostic, never undefined behaviour. Every decode is
+// bounds-checked: truncated headers, overrunning thread tables, mid-record
+// EOF and varint overflow all throw std::runtime_error naming the problem.
 #pragma once
 
 #include <cstddef>

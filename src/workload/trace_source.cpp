@@ -48,7 +48,7 @@ Step SymtTaskStream::next() {
     last_ = Step{rec.gap, rec.addr, rec.op == SymtOp::Write};
     return last_;
   }
-  return last_;  // past the end: repeat, like TraceStream
+  return last_;  // past the end: repeat the final reference
 }
 
 void SymtTaskStream::restart() {

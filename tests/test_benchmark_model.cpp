@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -96,6 +97,16 @@ TEST(SpecModels, LengthScaleScalesRefs) {
 
 TEST(SpecModels, UnknownNameThrows) {
   EXPECT_THROW(make_spec_benchmark("quake3"), std::invalid_argument);
+}
+
+TEST(SpecModels, BadLengthScaleThrows) {
+  // Each would make the double -> uint64 reference-count cast undefined
+  // (1e300 overflows it).
+  for (const double bad : {-1.0, 0.0, std::nan(""), HUGE_VAL, 1e300}) {
+    ScaleConfig scale;
+    scale.length_scale = bad;
+    EXPECT_THROW(make_spec_benchmark("mcf", scale), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Workload, PhasesCycle) {

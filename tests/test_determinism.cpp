@@ -155,22 +155,6 @@ TEST(Determinism, GridSweepIsIdenticalForAnyWorkerCount) {
   }
 }
 
-TEST(Determinism, GridReplicateZeroReproducesRunSweep) {
-  // A grid over just {config.allocator} with one replicate is run_sweep by
-  // another name: replicate 0 keeps config.seed, so the outcomes must be
-  // bit-identical to the plain sweep over the same pool.
-  const PipelineConfig config = tiny_pipeline();
-  const SweepResult plain = run_sweep(config, kTinyPool, 2, 1);
-  const SweepGridResult grid = run_sweep_grid(config, kTinyPool, 2, 1, {config.allocator}, 1);
-  ASSERT_EQ(grid.mixes, plain.mixes);
-  ASSERT_EQ(grid.outcomes.size(), plain.outcomes.size());
-  EXPECT_EQ(grid.outcomes, plain.outcomes);
-  for (const auto& cell : grid.cells) {
-    EXPECT_EQ(cell.replicate, 0u);
-    EXPECT_EQ(cell.seed, config.seed) << "replicate 0 keeps the configured seed";
-  }
-}
-
 TEST(Determinism, GridReplicatesDeriveDistinctSeeds) {
   const PipelineConfig config = tiny_pipeline();
   const SweepGridResult grid = run_sweep_grid(config, kTinyPool, 2, 1, {"weighted-graph"}, 3);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -91,6 +92,14 @@ TEST(ParsecModel, ThreadNamesCarryTid) {
 
 TEST(ParsecModel, UnknownNameThrows) {
   EXPECT_THROW(make_parsec_benchmark("doom3"), std::invalid_argument);
+}
+
+TEST(ParsecModel, BadLengthScaleThrows) {
+  for (const double bad : {-1.0, 0.0, std::nan(""), HUGE_VAL, 1e300}) {
+    ScaleConfig scale;
+    scale.length_scale = bad;
+    EXPECT_THROW(make_parsec_benchmark("ferret", scale), std::invalid_argument) << bad;
+  }
 }
 
 TEST(ParsecModel, TidOutOfRangeThrows) {

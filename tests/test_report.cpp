@@ -154,7 +154,7 @@ TEST(Report, OnlineReportValidates) {
   EXPECT_FALSE(without.find("baseline"));
 }
 
-// --- schema v2 (non-degenerate topologies) ---------------------------------
+// --- schema v2 -------------------------------------------------------------
 
 /// tiny_pipeline() on the clustered graph: 4 cores in 2 clusters + L3.
 PipelineConfig clustered_pipeline() {
@@ -166,18 +166,25 @@ PipelineConfig clustered_pipeline() {
 }
 
 TEST(Report, DegenerateTopologyStampsLegacyVersionAndNoGraphFields) {
-  // The two legacy testbeds keep the v1 document byte-for-byte: version 1,
-  // no cluster/L3/partition machine fields, no per-mapping levels.
-  const obs::Json report = build_mix_report(tiny_pipeline(), synthetic_outcome());
+  // The legacy two-level testbeds stamp v2 like every other topology: the
+  // machine names its cluster count and shape, and a measured mapping
+  // carries l1/l2 level stats (no L3 or partition fields on this machine).
+  const PipelineConfig config = tiny_pipeline();
+  MixOutcome outcome = synthetic_outcome();
+  outcome.mappings[0] = measure_mapping(config, outcome.mix, outcome.mappings[0].allocation);
+  const obs::Json report = build_mix_report(config, outcome);
   EXPECT_TRUE(validate_report(report).empty());
-  EXPECT_EQ(report.at("schema_version").as_u64(), kLegacyReportSchemaVersion);
+  EXPECT_EQ(report.at("schema_version").as_u64(), kReportSchemaVersion);
   const obs::Json& machine = report.at("config").at("machine");
-  EXPECT_FALSE(machine.find("l2_clusters"));
+  EXPECT_EQ(machine.at("l2_clusters").as_u64(), 1u);
+  EXPECT_FALSE(machine.at("topology").as_string().empty());
   EXPECT_FALSE(machine.find("l3_bytes"));
-  EXPECT_FALSE(machine.find("topology"));
   EXPECT_FALSE(machine.find("l2_way_partition"));
-  const obs::Json& mapping = report.at("outcome").at("mappings").as_array()[0];
-  EXPECT_FALSE(mapping.find("levels"));
+  const obs::Json& levels = report.at("outcome").at("mappings").as_array()[0].at("levels");
+  ASSERT_EQ(levels.size(), 2u);
+  EXPECT_EQ(levels.as_array()[0].at("level").as_string(), "l1");
+  EXPECT_EQ(levels.as_array()[1].at("level").as_string(), "l2");
+  EXPECT_GT(levels.as_array()[0].at("accesses").as_u64(), 0u);
 }
 
 TEST(Report, ClusteredTopologyStampsV2WithGraphFieldsAndLevels) {
@@ -250,13 +257,15 @@ TEST(Report, ValidatorChecksLevelEntries) {
 }
 
 TEST(Report, ValidatorAcceptsBothSchemaVersions) {
+  // Only v2 is accepted; the retired v1 stamp is rejected by name.
   obs::Json report = build_mix_report(tiny_pipeline(), synthetic_outcome());
-  report.set("schema_version", obs::Json(kReportSchemaVersion));
   EXPECT_TRUE(validate_report(report).empty());
-  report.set("schema_version", obs::Json(kLegacyReportSchemaVersion));
-  EXPECT_TRUE(validate_report(report).empty());
-  report.set("schema_version", obs::Json(std::uint64_t{3}));
-  EXPECT_EQ(validate_report(report).size(), 1u);
+  for (const std::uint64_t version : {1u, 3u}) {
+    report.set("schema_version", obs::Json(version));
+    const auto problems = validate_report(report);
+    ASSERT_EQ(problems.size(), 1u) << "version " << version;
+    EXPECT_NE(problems[0].find("expected 2"), std::string::npos) << problems[0];
+  }
 }
 
 // --- golden report --------------------------------------------------------
