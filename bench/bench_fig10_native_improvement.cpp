@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   auto& per_benchmark = args.add_u64("per-benchmark", "mixes each benchmark appears in", 2);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   auto& report_path = args.add_string("report", "JSON run-report output path ('' = none)", "");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::printf("=== Figure 10: max/avg improvement per benchmark (native) ===\n\n");
   const core::PipelineConfig config = bench::default_pipeline(seed);

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   util::ArgParser args("bench_fig12", "Figure 12: PARSEC multi-threaded improvements");
   auto& per_benchmark = args.add_u64("per-benchmark", "mixes each benchmark appears in", 2);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::printf("=== Figure 12: max/avg improvement per PARSEC program (4 threads each) ===\n\n");
   core::PipelineConfig config = bench::default_pipeline(seed);

@@ -33,7 +33,7 @@ double mean_improvement(const core::MixOutcome& outcome) {
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig13", "Figure 13: allocation algorithm comparison");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::printf("=== Figure 13: comparison of the three allocation algorithms ===\n\n");
 

@@ -41,7 +41,7 @@ double observe_saturation(const core::PipelineConfig& config,
 int main(int argc, char** argv) {
   util::ArgParser args("bench_fig14", "Figure 14: hash function comparison");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::printf("=== Figure 14: comparing Bloom-filter hash functions ===\n\n");
 

@@ -1,9 +1,9 @@
-// Micro-benchmarks of the MIN-CUT solvers and a solution-quality summary —
+// Micro-benchmarks of the two MIN-CUT paths and a solution-quality summary —
 // the ablation behind DESIGN.md's "solver choice" row (the paper used an
 // SDP solver; any fast approximation suffices at tens of nodes, §3.3.2).
+// balanced_min_cut runs exhaustive up to 16 nodes (2-way), the heuristic
+// beyond; both are timed at every size so the threshold's cost shows.
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
 
 #include "sched/mincut.hpp"
 #include "util/rng.hpp"
@@ -11,6 +11,8 @@
 namespace {
 
 using namespace symbiosis;
+
+using Solver = sched::Allocation (*)(const sched::SymMatrix&, std::size_t);
 
 sched::SymMatrix random_graph(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
@@ -21,56 +23,33 @@ sched::SymMatrix random_graph(std::size_t n, std::uint64_t seed) {
   return w;
 }
 
-void BM_MinCut(benchmark::State& state) {
-  const auto method = static_cast<sched::MinCutMethod>(state.range(0));
-  const auto n = static_cast<std::size_t>(state.range(1));
-  if (method == sched::MinCutMethod::Exhaustive && n > 16) {
-    state.SkipWithError("exhaustive beyond n=16 is not meaningful");
-    return;
-  }
-  const sched::SymMatrix w = random_graph(n, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::balanced_min_cut(w, 2, method, 3));
-  }
+void BM_MinCut(benchmark::State& state, Solver solve) {
+  const sched::SymMatrix w = random_graph(static_cast<std::size_t>(state.range(0)), 7);
+  for (auto _ : state) benchmark::DoNotOptimize(solve(w, 2));
 }
-BENCHMARK(BM_MinCut)
-    ->ArgsProduct({{static_cast<int>(sched::MinCutMethod::Exhaustive),
-                    static_cast<int>(sched::MinCutMethod::Greedy),
-                    static_cast<int>(sched::MinCutMethod::KernighanLin),
-                    static_cast<int>(sched::MinCutMethod::Spectral)},
-                   {8, 12, 16}});
+BENCHMARK_CAPTURE(BM_MinCut, exhaustive, &sched::exhaustive_min_cut)->Arg(8)->Arg(12)->Arg(16);
+BENCHMARK_CAPTURE(BM_MinCut, heuristic, &sched::heuristic_min_cut)->Arg(8)->Arg(12)->Arg(16);
 
 void BM_MinCutHierarchical4Way(benchmark::State& state) {
   const sched::SymMatrix w = random_graph(static_cast<std::size_t>(state.range(0)), 9);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sched::balanced_min_cut(w, 4, sched::MinCutMethod::KernighanLin, 5));
-  }
+  for (auto _ : state) benchmark::DoNotOptimize(sched::heuristic_min_cut(w, 4));
 }
 BENCHMARK(BM_MinCutHierarchical4Way)->Arg(16)->Arg(32);
 
-/// Not a timing benchmark: prints average solution quality (cut weight
-/// relative to exhaustive optimum) once at the end of the run.
+/// Not a timing benchmark: prints the heuristic's average cut weight
+/// relative to the exhaustive optimum once at the end of the run.
 void BM_MinCutQualityReport(benchmark::State& state) {
-  double kl_ratio = 0.0, greedy_ratio = 0.0, spectral_ratio = 0.0;
+  double kl_ratio = 0.0;
   const int trials = 30;
   for (auto _ : state) {
-    kl_ratio = greedy_ratio = spectral_ratio = 0.0;
+    kl_ratio = 0.0;
     for (int t = 0; t < trials; ++t) {
       const sched::SymMatrix w = random_graph(10, 100 + t);
-      const double optimal =
-          cut_weight(w, balanced_min_cut(w, 2, sched::MinCutMethod::Exhaustive));
-      kl_ratio += cut_weight(w, balanced_min_cut(w, 2, sched::MinCutMethod::KernighanLin)) /
-                  optimal;
-      greedy_ratio += cut_weight(w, balanced_min_cut(w, 2, sched::MinCutMethod::Greedy)) /
-                      optimal;
-      spectral_ratio +=
-          cut_weight(w, balanced_min_cut(w, 2, sched::MinCutMethod::Spectral, t)) / optimal;
+      kl_ratio += cut_weight(w, sched::heuristic_min_cut(w, 2)) /
+                  cut_weight(w, sched::exhaustive_min_cut(w, 2));
     }
   }
   state.counters["kl_vs_optimal"] = kl_ratio / trials;
-  state.counters["greedy_vs_optimal"] = greedy_ratio / trials;
-  state.counters["spectral_vs_optimal"] = spectral_ratio / trials;
 }
 BENCHMARK(BM_MinCutQualityReport)->Iterations(1);
 

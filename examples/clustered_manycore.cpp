@@ -24,7 +24,9 @@
 #include "util/table.hpp"
 #include "workload/benchmark_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("clustered_manycore", "clustered L2s + shared L3, end to end");
@@ -33,7 +35,7 @@ int main(int argc, char** argv) {
   auto& cycles = args.add_u64("cycles", "simulated cycles to run", 20'000'000);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   auto& scale = args.add_double("scale", "benchmark length multiplier", 0.2);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   machine::MachineConfig config =
       manycore ? machine::manycore64_config() : machine::clustered32_config();
@@ -109,4 +111,10 @@ int main(int argc, char** argv) {
     std::printf("cross-cluster symbiosis (core 0 vs first core of cluster 1): %zu\n", score);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("clustered_manycore", argc, argv, run);
 }

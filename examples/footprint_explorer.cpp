@@ -15,7 +15,9 @@
 #include "util/table.hpp"
 #include "workload/benchmark_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("footprint_explorer", "inspect Bloom-filter cache signatures");
@@ -26,7 +28,7 @@ int main(int argc, char** argv) {
   auto& sample_shift = args.add_u64("sample-shift", "set-sampling shift (2 = 25%)", 0);
   auto& windows = args.add_u64("windows", "observation windows to print", 12);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   machine::MachineConfig cfg = machine::core2duo_config();
   cfg.hierarchy.signature.hash = sig::parse_hash_kind(hash);
@@ -77,4 +79,10 @@ int main(int argc, char** argv) {
       "occupancy weight); 'mean RBV' is the per-quantum footprint signature the\n"
       "allocators consume; low symbiosis = heavy interference with core 1 (§3.1).\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("footprint_explorer", argc, argv, run);
 }

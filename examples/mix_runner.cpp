@@ -7,8 +7,8 @@
 //   ./mix_runner --mix mcf,omnetpp,gcc,bzip2,libquantum,povray,gobmk,hmmer
 //                --cores 4 --l2-kb 512
 #include <cstdio>
-#include <exception>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -35,7 +35,7 @@ int run(int argc, char** argv) {
   auto& vm = args.add_flag("vm", "measure inside VMs on the hypervisor");
   auto& csv_path = args.add_string("csv", "CSV output path ('' = none)", "");
   auto& report_path = args.add_string("report", "JSON run-report output path ('' = none)", "");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::vector<std::string> mix;
   {
@@ -43,10 +43,7 @@ int run(int argc, char** argv) {
     std::string name;
     while (std::getline(ss, name, ',')) mix.push_back(name);
   }
-  if (mix.size() < cores) {
-    std::fprintf(stderr, "mix_runner: need at least as many programs as cores\n");
-    return 1;
-  }
+  if (mix.size() < cores) throw std::invalid_argument("need at least as many programs as cores");
 
   core::PipelineConfig config;
   config.machine.hierarchy.num_cores = cores;
@@ -119,12 +116,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& e) {
-    // Invalid configurations (zero cores, a non-positive --scale, an
-    // unknown program) surface as exceptions: report them, exit 2.
-    std::fprintf(stderr, "mix_runner: %s\n", e.what());
-    return 2;
-  }
+  return symbiosis::util::run_main("mix_runner", argc, argv, run);
 }

@@ -10,6 +10,7 @@
 //   ./multithreaded_parsec [--apps ferret,canneal] [--seed 42]
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/profile.hpp"
 #include "core/symbiotic_scheduler.hpp"
@@ -18,14 +19,16 @@
 #include "util/table.hpp"
 #include "workload/parsec_model.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("multithreaded_parsec", "two-phase allocation for 4-thread apps");
   auto& apps_arg = args.add_string("apps", "two comma-separated PARSEC programs",
                                    "ferret,canneal");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::vector<std::string> apps;
   {
@@ -33,10 +36,7 @@ int main(int argc, char** argv) {
     std::string name;
     while (std::getline(ss, name, ',')) apps.push_back(name);
   }
-  if (apps.size() != 2) {
-    std::fprintf(stderr, "multithreaded_parsec: --apps needs exactly 2 names\n");
-    return 1;
-  }
+  if (apps.size() != 2) throw std::invalid_argument("--apps needs exactly 2 names");
 
   core::PipelineConfig config;
   config.sync_scale();
@@ -74,4 +74,10 @@ int main(int argc, char** argv) {
       "\nThe two-phase algorithm must NOT mistake intra-process sharing for\n"
       "interference (§3.3.4) — threads that share data stay schedulable together.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("multithreaded_parsec", argc, argv, run);
 }

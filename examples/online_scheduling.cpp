@@ -18,7 +18,9 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("online_scheduling", "live signature-driven re-pinning");
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
   auto& confirm = args.add_u64("confirm", "windows a mapping must win before applying", 2);
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   auto& report_path = args.add_string("report", "JSON run-report output path ('' = none)", "");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::vector<std::string> mix;
   {
@@ -86,4 +88,10 @@ int main(int argc, char** argv) {
     std::printf("wrote %s\n", report_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("online_scheduling", argc, argv, run);
 }

@@ -8,12 +8,15 @@
 //
 //   ./quickstart [--allocator weighted-graph] [--seed 42] [--scale 1.0]
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("quickstart", "two-phase symbiotic scheduling on the Table 1 mix");
@@ -22,13 +25,12 @@ int main(int argc, char** argv) {
                                     "weighted-graph");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
   auto& scale = args.add_double("scale", "benchmark length multiplier", 1.0);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::vector<std::string> mix = {"povray", "gobmk", "libquantum", "hmmer"};
   if (!args.positional().empty()) {
     if (args.positional().size() != 4) {
-      std::fprintf(stderr, "quickstart: give exactly 4 benchmark names (or none)\n");
-      return 1;
+      throw std::invalid_argument("give exactly 4 benchmark names (or none)");
     }
     mix = args.positional();
   }
@@ -75,4 +77,10 @@ int main(int argc, char** argv) {
   std::printf("improvements:\n");
   improvements.print();
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("quickstart", argc, argv, run);
 }

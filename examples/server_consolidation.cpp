@@ -19,13 +19,15 @@
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("server_consolidation", "8 jobs on a quad-core, 4 policies compared");
   auto& seed = args.add_u64("seed", "RNG seed", 7);
   auto& scale = args.add_double("scale", "benchmark length multiplier", 0.5);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   // The "rack": two cache hogs, two streamers, four service-like jobs.
   const std::vector<std::string> jobs = {"mcf",  "omnetpp", "libquantum", "hmmer",
@@ -80,4 +82,10 @@ int main(int argc, char** argv) {
       "\nLower slowdown = better consolidation. The signature-driven policies should\n"
       "herd the cache hogs onto shared cores and spread the benign jobs.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("server_consolidation", argc, argv, run);
 }

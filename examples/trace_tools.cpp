@@ -18,6 +18,11 @@
 //              when the file starts with the SYMT magic — structurally
 //              validate a .symt trace (--stats prints the summary).
 //
+// Exit status: 0 on success; 1 when a check runs and fails (roundtrip or
+// convert --verify diverge, diff finds differences, validate finds
+// problems); 2 on rejected input (unknown subcommand or option, unreadable
+// or corrupt file).
+//
 //   ./trace_tools roundtrip [--benchmark mcf] [--refs 200000] [--out f.symt]
 //   ./trace_tools convert --mix mcf,libquantum --refs 100000 --out mix.symt --verify
 //   ./trace_tools convert --text app.trace --out app.symt
@@ -29,6 +34,7 @@
 #include <fstream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "core/report.hpp"
@@ -60,7 +66,7 @@ int cmd_roundtrip(int argc, char** argv) {
   auto& refs = args.add_u64("refs", "references to record", 200'000);
   auto& out = args.add_string("out", "trace file path", "/tmp/symbiosis_trace.symt");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   // 1. Record: pull steps straight from the generator into a one-thread
   //    .symt trace, compute gaps preserved.
@@ -152,16 +158,12 @@ int cmd_convert(int argc, char** argv) {
   auto& verify = args.add_flag("verify", "prove replay == direct generation (generators only)");
   auto& chunk = args.add_u64("chunk", "replay chunk size for --verify", 4096);
   auto& cores = args.add_u64("cores", "simulated cores for --verify", 2);
-  if (!args.parse(argc, argv)) return 1;
-  if (out.empty()) {
-    std::fprintf(stderr, "convert: --out is required\n");
-    return 1;
-  }
+  if (!args.parse(argc, argv)) return args.exit_status();
+  if (out.empty()) throw std::invalid_argument("convert: --out is required");
   const int sources =
       (!mix.empty() ? 1 : 0) + (!benchmark.empty() ? 1 : 0) + (!text.empty() ? 1 : 0);
   if (sources != 1) {
-    std::fprintf(stderr, "convert: exactly one of --mix/--benchmark/--text required\n");
-    return 1;
+    throw std::invalid_argument("convert: exactly one of --mix/--benchmark/--text required");
   }
 
   std::vector<std::uint8_t> image;
@@ -192,8 +194,7 @@ int cmd_convert(int argc, char** argv) {
 
   if (verify) {
     if (names.empty()) {
-      std::fprintf(stderr, "convert: --verify needs a generator source (--mix/--benchmark)\n");
-      return 1;
+      throw std::invalid_argument("convert: --verify needs a generator source (--mix/--benchmark)");
     }
     cachesim::HierarchyConfig hconfig;
     hconfig.num_cores = cores;
@@ -222,10 +223,9 @@ int cmd_replay(int argc, char** argv) {
   auto& chunk = args.add_u64("chunk", "references per thread visit", 4096);
   auto& workers = args.add_u64("workers", "decode worker threads (0 = serial)", 0);
   auto& report_path = args.add_string("report", "write a trace_replay run report here", "");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
   if (args.positional().size() != 1) {
-    std::fprintf(stderr, "usage: trace_tools replay <trace.symt> [--cores N] [--chunk N]\n");
-    return 1;
+    throw std::invalid_argument("usage: trace_tools replay <trace.symt> [--cores N] [--chunk N]");
   }
 
   const workload::SymtTrace trace = workload::SymtTrace::open(args.positional().front());
@@ -265,19 +265,15 @@ int cmd_replay(int argc, char** argv) {
 int cmd_inspect(int argc, char** argv) {
   util::ArgParser args("trace_tools inspect", "summarize a run report JSON");
   auto& path_arg = args.add_string("path", "dot path to print instead of the summary", "");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
   if (args.positional().size() != 1) {
-    std::fprintf(stderr, "usage: trace_tools inspect <report.json> [--path a.b.c]\n");
-    return 1;
+    throw std::invalid_argument("usage: trace_tools inspect <report.json> [--path a.b.c]");
   }
 
   const obs::Json report = load_json(args.positional().front());
   if (!path_arg.empty()) {
     const obs::Json* node = obs::json_at_path(report, path_arg);
-    if (!node) {
-      std::fprintf(stderr, "inspect: no value at path \"%s\"\n", path_arg.c_str());
-      return 1;
-    }
+    if (!node) throw std::invalid_argument("inspect: no value at path \"" + path_arg + "\"");
     std::printf("%s\n", node->dump(2).c_str());
     return 0;
   }
@@ -316,10 +312,9 @@ int cmd_inspect(int argc, char** argv) {
 int cmd_diff(int argc, char** argv) {
   util::ArgParser args("trace_tools diff", "field-by-field run report comparison");
   auto& all = args.add_flag("all", "also compare the volatile timings/metrics sections");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
   if (args.positional().size() != 2) {
-    std::fprintf(stderr, "usage: trace_tools diff <a.json> <b.json> [--all]\n");
-    return 1;
+    throw std::invalid_argument("usage: trace_tools diff <a.json> <b.json> [--all]");
   }
 
   const obs::Json a = load_json(args.positional()[0]);
@@ -349,10 +344,9 @@ bool sniff_symt(const std::string& path) {
 int cmd_validate(int argc, char** argv) {
   util::ArgParser args("trace_tools validate", "check a run report or a .symt trace");
   auto& want_stats = args.add_flag("stats", "print the trace summary (.symt inputs)");
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
   if (args.positional().size() != 1) {
-    std::fprintf(stderr, "usage: trace_tools validate <report.json | trace.symt> [--stats]\n");
-    return 1;
+    throw std::invalid_argument("usage: trace_tools validate <report.json | trace.symt> [--stats]");
   }
 
   if (sniff_symt(args.positional().front())) {
@@ -380,20 +374,21 @@ int cmd_validate(int argc, char** argv) {
   return 1;
 }
 
+int run(int argc, char** argv) {
+  if (argc < 2 || argv[1][0] == '-') return cmd_roundtrip(argc, argv);  // no subcommand
+  const std::string sub = argv[1];
+  if (sub == "convert") return cmd_convert(argc - 1, argv + 1);
+  if (sub == "replay") return cmd_replay(argc - 1, argv + 1);
+  if (sub == "inspect") return cmd_inspect(argc - 1, argv + 1);
+  if (sub == "diff") return cmd_diff(argc - 1, argv + 1);
+  if (sub == "validate") return cmd_validate(argc - 1, argv + 1);
+  if (sub == "roundtrip") return cmd_roundtrip(argc - 1, argv + 1);
+  throw std::invalid_argument("unknown subcommand '" + sub +
+                              "' (roundtrip|convert|replay|inspect|diff|validate)");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string sub = argc > 1 ? argv[1] : "";
-  try {
-    if (sub == "convert") return cmd_convert(argc - 1, argv + 1);
-    if (sub == "replay") return cmd_replay(argc - 1, argv + 1);
-    if (sub == "inspect") return cmd_inspect(argc - 1, argv + 1);
-    if (sub == "diff") return cmd_diff(argc - 1, argv + 1);
-    if (sub == "validate") return cmd_validate(argc - 1, argv + 1);
-    if (sub == "roundtrip") return cmd_roundtrip(argc - 1, argv + 1);
-    return cmd_roundtrip(argc, argv);  // legacy invocation, no subcommand
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "trace_tools %s: %s\n", sub.c_str(), e.what());
-    return 1;
-  }
+  return symbiosis::util::run_main("trace_tools", argc, argv, run);
 }

@@ -9,19 +9,22 @@
 //   ./vm_placement [--mix mcf,libquantum,povray,gobmk] [--seed 42]
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/experiment.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace symbiosis;
 
   util::ArgParser args("vm_placement", "four VMs placed by Dom0 using cache signatures");
   auto& mix_arg = args.add_string("mix", "four comma-separated pool programs",
                                   "mcf,libquantum,povray,gobmk");
   auto& seed = args.add_u64("seed", "RNG seed", 42);
-  if (!args.parse(argc, argv)) return 1;
+  if (!args.parse(argc, argv)) return args.exit_status();
 
   std::vector<std::string> mix;
   {
@@ -29,10 +32,7 @@ int main(int argc, char** argv) {
     std::string name;
     while (std::getline(ss, name, ',')) mix.push_back(name);
   }
-  if (mix.size() != 4) {
-    std::fprintf(stderr, "vm_placement: --mix needs exactly 4 names\n");
-    return 1;
-  }
+  if (mix.size() != 4) throw std::invalid_argument("--mix needs exactly 4 names");
 
   core::PipelineConfig config;
   config.sync_scale();
@@ -68,4 +68,10 @@ int main(int argc, char** argv) {
       "\nExpected (§5.1.2): the same winners as the native run, with smaller margins —\n"
       "world switches, Dom0 cache pollution and nested translation dilute the effect.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return symbiosis::util::run_main("vm_placement", argc, argv, run);
 }

@@ -27,34 +27,18 @@ namespace symbiosis::sched {
 /// §3.3.2: plain interference graph + balanced MIN-CUT.
 class InterferenceGraphAllocator final : public Allocator {
  public:
-  explicit InterferenceGraphAllocator(MinCutMethod method = MinCutMethod::Auto,
-                                      std::uint64_t seed = 1)
-      : method_(method), seed_(seed) {}
-
   [[nodiscard]] std::string name() const override { return "graph"; }
   [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
                                     std::size_t groups) override;
-
- private:
-  MinCutMethod method_;
-  std::uint64_t seed_;
 };
 
 /// §3.3.3: occupancy-weighted interference graph + balanced MIN-CUT.
 /// The paper's best algorithm.
 class WeightedGraphAllocator final : public Allocator {
  public:
-  explicit WeightedGraphAllocator(MinCutMethod method = MinCutMethod::Auto,
-                                  std::uint64_t seed = 1)
-      : method_(method), seed_(seed) {}
-
   [[nodiscard]] std::string name() const override { return "weighted-graph"; }
   [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
                                     std::size_t groups) override;
-
- private:
-  MinCutMethod method_;
-  std::uint64_t seed_;
 };
 
 }  // namespace symbiosis::sched

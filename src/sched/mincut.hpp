@@ -1,28 +1,26 @@
-// mincut.hpp — balanced MIN-CUT solvers over interference graphs.
+// mincut.hpp — balanced MIN-CUT over interference graphs.
 //
 // §3.3.2: the interference-graph algorithms need a balanced partition that
 // MINIMIZES inter-group edge weight (equivalently maximizes intra-group
 // interference, so mutually hostile processes share a core and time-slice
-// instead of thrashing each other). The paper used an SDP solver; its
-// graphs have tens of nodes, so we provide:
-//   * Exhaustive  — provably optimal for small n (the paper-scale regime);
-//   * Greedy      — heaviest-edge constructive seeding;
-//   * KernighanLin— classic pairwise-swap refinement of a greedy seed;
-//   * Spectral    — Fiedler-vector embedding (power iteration with
-//                   deflation) + balanced median split + KL polish, the
-//                   moral equivalent of SDP relaxation + rounding;
-//   * Auto        — Exhaustive when feasible, else Spectral.
-// For more than two groups the solvers recurse hierarchically, exactly as
-// §3.3.2 prescribes for quad-core machines.
+// instead of thrashing each other). The paper used an SDP solver and asks
+// only for "a fast approximation"; its graphs have tens of nodes, so one
+// path chosen by graph size serves:
+//   * exhaustive_min_cut — full enumeration, provably optimal; used for a
+//                          2-way cut up to 16 nodes and a k-way cut up to
+//                          12 nodes and 4 groups (every paper-scale mix);
+//   * heuristic_min_cut  — heaviest-edge greedy seed plus Kernighan–Lin
+//                          pair swaps, recursing hierarchically (bisect,
+//                          then split each side) exactly as §3.3.2
+//                          prescribes for quad-core machines.
+// Every result is exactly balanced: group sizes equal balanced_group_sizes.
 #pragma once
 
-#include <cstdint>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "sched/allocation.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
 
 namespace symbiosis::sched {
 
@@ -57,11 +55,6 @@ class SymMatrix {
   std::vector<double> w_;
 };
 
-enum class MinCutMethod { Exhaustive, Greedy, KernighanLin, Spectral, Auto };
-
-[[nodiscard]] std::string to_string(MinCutMethod method);
-[[nodiscard]] MinCutMethod parse_mincut_method(const std::string& name);
-
 /// Sum of weights crossing group boundaries (the objective to minimize).
 [[nodiscard]] double cut_weight(const SymMatrix& w, const Allocation& alloc);
 
@@ -69,10 +62,17 @@ enum class MinCutMethod { Exhaustive, Greedy, KernighanLin, Spectral, Auto };
 [[nodiscard]] double intra_weight(const SymMatrix& w, const Allocation& alloc);
 
 /// Partition n = w.size() nodes into @p groups balanced groups minimizing
-/// the cut. @p seed feeds the spectral tie-break randomization only —
-/// results are deterministic for a fixed seed.
-[[nodiscard]] Allocation balanced_min_cut(const SymMatrix& w, std::size_t groups,
-                                          MinCutMethod method = MinCutMethod::Auto,
-                                          std::uint64_t seed = 1);
+/// the cut: exhaustive_min_cut when the graph is small enough to enumerate,
+/// else heuristic_min_cut. Deterministic. Throws std::invalid_argument when
+/// groups == 0 or n < groups.
+[[nodiscard]] Allocation balanced_min_cut(const SymMatrix& w, std::size_t groups);
+
+/// The optimal balanced cut by enumerating every balanced mapping (the
+/// reference the heuristic is measured against).
+[[nodiscard]] Allocation exhaustive_min_cut(const SymMatrix& w, std::size_t groups);
+
+/// Greedy seed plus Kernighan–Lin refinement, recursing hierarchically for
+/// more than two groups.
+[[nodiscard]] Allocation heuristic_min_cut(const SymMatrix& w, std::size_t groups);
 
 }  // namespace symbiosis::sched

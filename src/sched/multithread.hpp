@@ -21,9 +21,6 @@ class MultiThreadAllocator final : public Allocator {
   /// entries, interference ≤ 1).
   static constexpr double kPinnedWeight = 1e12;
 
-  explicit MultiThreadAllocator(MinCutMethod method = MinCutMethod::Auto, std::uint64_t seed = 1)
-      : method_(method), seed_(seed) {}
-
   [[nodiscard]] std::string name() const override { return "multithread"; }
   [[nodiscard]] Allocation allocate(const std::vector<TaskProfile>& profiles,
                                     std::size_t groups) override;
@@ -32,10 +29,6 @@ class MultiThreadAllocator final : public Allocator {
   /// index → phase-1 group within its process).
   [[nodiscard]] static std::vector<std::size_t> phase1_groups(
       const std::vector<TaskProfile>& profiles, std::size_t groups);
-
- private:
-  MinCutMethod method_;
-  std::uint64_t seed_;
 };
 
 }  // namespace symbiosis::sched

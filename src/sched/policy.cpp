@@ -1,7 +1,6 @@
 #include "sched/policy.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "sched/interference_graph.hpp"
@@ -43,23 +42,10 @@ Allocation RandomAllocator::allocate(const std::vector<TaskProfile>& profiles,
 
 Allocation MissRateAllocator::allocate(const std::vector<TaskProfile>& profiles,
                                        std::size_t groups) {
-  if (groups == 0) throw std::invalid_argument("MissRateAllocator: groups must be > 0");
-  const std::size_t n = profiles.size();
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return profiles[a].l2_misses_per_kilo_instr > profiles[b].l2_misses_per_kilo_instr;
-  });
-
-  const std::size_t group_size = (n + groups - 1) / groups;
-  Allocation alloc;
-  alloc.groups = groups;
-  alloc.group_of.assign(n, 0);
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    alloc.group_of[order[rank]] = std::min(rank / group_size, groups - 1);
-  }
-  return alloc;
+  std::vector<double> mpki;
+  mpki.reserve(profiles.size());
+  for (const auto& p : profiles) mpki.push_back(p.l2_misses_per_kilo_instr);
+  return group_by_descending(mpki, groups);
 }
 
 std::unique_ptr<Allocator> make_allocator(const std::string& name, std::uint64_t seed) {
@@ -67,15 +53,9 @@ std::unique_ptr<Allocator> make_allocator(const std::string& name, std::uint64_t
   if (name == "random") return std::make_unique<RandomAllocator>(seed);
   if (name == "miss-rate") return std::make_unique<MissRateAllocator>();
   if (name == "weight-sort") return std::make_unique<WeightSortAllocator>();
-  if (name == "graph") {
-    return std::make_unique<InterferenceGraphAllocator>(MinCutMethod::Auto, seed);
-  }
-  if (name == "weighted-graph") {
-    return std::make_unique<WeightedGraphAllocator>(MinCutMethod::Auto, seed);
-  }
-  if (name == "multithread") {
-    return std::make_unique<MultiThreadAllocator>(MinCutMethod::Auto, seed);
-  }
+  if (name == "graph") return std::make_unique<InterferenceGraphAllocator>();
+  if (name == "weighted-graph") return std::make_unique<WeightedGraphAllocator>();
+  if (name == "multithread") return std::make_unique<MultiThreadAllocator>();
   throw std::invalid_argument("unknown allocator: " + name);
 }
 

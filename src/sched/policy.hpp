@@ -83,7 +83,7 @@ class MissRateAllocator final : public Allocator {
 
 /// Registry: "default" | "random" | "miss-rate" | "weight-sort" | "graph" |
 /// "weighted-graph" | "multithread"; throws std::invalid_argument on
-/// unknown names.
+/// unknown names. @p seed feeds "random" only; the others are deterministic.
 [[nodiscard]] std::unique_ptr<Allocator> make_allocator(const std::string& name,
                                                         std::uint64_t seed = 1);
 

@@ -17,4 +17,10 @@ class WeightSortAllocator final : public Allocator {
                                     std::size_t groups) override;
 };
 
+/// The §3.3.1 grouping over any per-task key: stable-sort the tasks by
+/// @p key, largest first, and give each group ⌈P/N⌉ consecutive tasks (the
+/// final group may be smaller). Throws std::invalid_argument when
+/// groups == 0.
+[[nodiscard]] Allocation group_by_descending(const std::vector<double>& key, std::size_t groups);
+
 }  // namespace symbiosis::sched

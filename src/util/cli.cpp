@@ -1,7 +1,9 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -89,7 +91,8 @@ bool ArgParser::assign(Option& opt, const std::string& value) {
       *opt.i = std::strtoll(value.c_str(), &end, 0);
       break;
     case Kind::U64:
-      *opt.u = std::strtoull(value.c_str(), &end, 0);
+      // strtoull would wrap "-1" to 2^64-1; an unsigned option takes no sign.
+      if (value.find('-') == std::string::npos) *opt.u = std::strtoull(value.c_str(), &end, 0);
       break;
     case Kind::Double:
       *opt.d = std::strtod(value.c_str(), &end);
@@ -98,7 +101,7 @@ bool ArgParser::assign(Option& opt, const std::string& value) {
       *opt.b = (value == "true" || value == "1" || value == "yes");
       return true;
   }
-  if (end == value.c_str() || (end && *end != '\0') || errno == ERANGE) {
+  if (end == nullptr || end == value.c_str() || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "%s: bad value '%s' for --%s\n", program_.c_str(), value.c_str(),
                  opt.name.c_str());
     return false;
@@ -113,6 +116,7 @@ bool ArgParser::parse(int argc, const char* const* argv) {
     std::string arg = argv[idx];
     if (arg == "--help" || arg == "-h") {
       std::fputs(usage().c_str(), stdout);
+      help_shown_ = true;
       return false;
     }
     if (arg.rfind("--", 0) != 0) {
@@ -159,6 +163,15 @@ std::string ArgParser::usage() const {
   }
   os << "  --help\n      Show this message\n";
   return os.str();
+}
+
+int run_main(const char* program, int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", program, e.what());
+    return 2;
+  }
 }
 
 }  // namespace symbiosis::util

@@ -5,7 +5,10 @@
 //   auto& seed  = args.add_u64("seed", "RNG seed", 42);
 //   auto& algo  = args.add_string("algo", "weight|graph|weighted", "weighted");
 //   auto& quiet = args.add_flag("quiet", "suppress progress logging");
-//   if (!args.parse(argc, argv)) return 1;   // prints help / error itself
+//   if (!args.parse(argc, argv)) return args.exit_status();  // prints help / error
+//
+// A program's main hands its body to run_main, so every CLI exits 0 on
+// success and on --help, and 2 with a message on any rejected input.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,10 @@ class ArgParser {
   /// Parse argv. On "--help" prints usage and returns false; on a malformed
   /// or unknown argument prints an error plus usage and returns false.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
+
+  /// The exit status for a parse() that returned false: 0 after --help,
+  /// 2 after a rejected argument.
+  [[nodiscard]] int exit_status() const noexcept { return help_shown_ ? 0 : 2; }
 
   /// Positional arguments left over after option parsing.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
@@ -59,6 +66,13 @@ class ArgParser {
   std::string description_;
   std::vector<std::unique_ptr<Option>> options_;
   std::vector<std::string> positional_;
+  bool help_shown_ = false;
 };
+
+/// Run a command-line program's @p body and return its exit status. Any
+/// exception escaping it (an unknown program or allocator name, an invalid
+/// configuration) is rejected input: "<program>: <what>" goes to stderr and
+/// the status is 2.
+int run_main(const char* program, int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace symbiosis::util

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -45,44 +48,43 @@ TEST(MinCut, CutAndIntraPartitionTotal) {
   EXPECT_DOUBLE_EQ(cut_weight(w, a), 4.0);
 }
 
-class MinCutMethodTest : public testing::TestWithParam<MinCutMethod> {};
+/// The three entry points, by name, so each parameterized case runs all.
+Allocation solve(const std::string& solver, const SymMatrix& w, std::size_t groups) {
+  if (solver == "exhaustive") return exhaustive_min_cut(w, groups);
+  if (solver == "heuristic") return heuristic_min_cut(w, groups);
+  return balanced_min_cut(w, groups);
+}
 
-TEST_P(MinCutMethodTest, SolvesTwoCliques) {
+class MinCutSolverTest : public testing::TestWithParam<std::string> {};
+
+TEST_P(MinCutSolverTest, SolvesTwoCliques) {
   const SymMatrix w = two_cliques();
-  const Allocation result = balanced_min_cut(w, 2, GetParam(), 7);
+  const Allocation result = solve(GetParam(), w, 2);
   EXPECT_EQ(result.group_of[0], result.group_of[1]);
   EXPECT_EQ(result.group_of[2], result.group_of[3]);
   EXPECT_NE(result.group_of[0], result.group_of[2]);
 }
 
-TEST_P(MinCutMethodTest, ProducesBalancedGroups) {
+TEST_P(MinCutSolverTest, ProducesBalancedGroups) {
   util::Rng rng(11);
   const SymMatrix w = planted(10, rng);
-  const Allocation result = balanced_min_cut(w, 2, GetParam(), 3);
+  const Allocation result = solve(GetParam(), w, 2);
   EXPECT_EQ(result.members(0).size(), 5u);
   EXPECT_EQ(result.members(1).size(), 5u);
 }
 
-TEST_P(MinCutMethodTest, RecoversPlantedPartition) {
+TEST_P(MinCutSolverTest, RecoversPlantedPartition) {
   util::Rng rng(13);
   const SymMatrix w = planted(12, rng);
-  const Allocation result = balanced_min_cut(w, 2, GetParam(), 5);
+  const Allocation result = solve(GetParam(), w, 2);
   // All of block {0..5} together, {6..11} together.
   for (std::size_t i = 1; i < 6; ++i) EXPECT_EQ(result.group_of[i], result.group_of[0]);
   for (std::size_t i = 7; i < 12; ++i) EXPECT_EQ(result.group_of[i], result.group_of[6]);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMethods, MinCutMethodTest,
-                         testing::Values(MinCutMethod::Exhaustive, MinCutMethod::Greedy,
-                                         MinCutMethod::KernighanLin, MinCutMethod::Spectral,
-                                         MinCutMethod::Auto),
-                         [](const auto& param_info) {
-                           std::string name = to_string(param_info.param);
-                           for (auto& ch : name) {
-                             if (ch == '-') ch = '_';
-                           }
-                           return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(AllSolvers, MinCutSolverTest,
+                         testing::Values("exhaustive", "heuristic", "balanced"),
+                         [](const auto& param_info) { return param_info.param; });
 
 TEST(MinCut, HeuristicsNearOptimalOnRandomGraphs) {
   util::Rng rng(17);
@@ -91,12 +93,10 @@ TEST(MinCut, HeuristicsNearOptimalOnRandomGraphs) {
     for (std::size_t i = 0; i < 8; ++i) {
       for (std::size_t j = i + 1; j < 8; ++j) w.set(i, j, rng.next_double());
     }
-    const double optimal = cut_weight(w, balanced_min_cut(w, 2, MinCutMethod::Exhaustive));
-    const double kl = cut_weight(w, balanced_min_cut(w, 2, MinCutMethod::KernighanLin));
-    const double spectral = cut_weight(w, balanced_min_cut(w, 2, MinCutMethod::Spectral, trial));
+    const double optimal = cut_weight(w, exhaustive_min_cut(w, 2));
+    const double kl = cut_weight(w, heuristic_min_cut(w, 2));
     EXPECT_LE(optimal, kl + 1e-9);
     EXPECT_LE(kl, optimal * 1.35 + 1e-9) << "KL strayed far from optimal";
-    EXPECT_LE(spectral, optimal * 1.35 + 1e-9) << "spectral strayed far from optimal";
   }
 }
 
@@ -111,10 +111,9 @@ TEST(MinCut, HierarchicalFourWay) {
       if (w.at(i, j) == 0.0) w.set(i, j, rng.next_double() * 0.1);
     }
   }
-  for (const auto method : {MinCutMethod::Auto, MinCutMethod::KernighanLin}) {
-    const Allocation result = balanced_min_cut(w, 4, method, 23);
+  for (const auto& result : {balanced_min_cut(w, 4), heuristic_min_cut(w, 4)}) {
     for (std::size_t p = 0; p < 4; ++p) {
-      EXPECT_EQ(result.group_of[2 * p], result.group_of[2 * p + 1]) << to_string(method);
+      EXPECT_EQ(result.group_of[2 * p], result.group_of[2 * p + 1]);
       EXPECT_EQ(result.members(p).size(), 2u);
     }
   }
@@ -131,6 +130,8 @@ TEST(MinCut, Validation) {
   const SymMatrix w = two_cliques();
   EXPECT_THROW(balanced_min_cut(w, 0), std::invalid_argument);
   EXPECT_THROW(balanced_min_cut(w, 5), std::invalid_argument);
+  EXPECT_THROW(exhaustive_min_cut(w, 5), std::invalid_argument);
+  EXPECT_THROW(heuristic_min_cut(w, 0), std::invalid_argument);
 }
 
 TEST(MinCut, DegenerateUniformGraphStillBalances) {
@@ -138,20 +139,29 @@ TEST(MinCut, DegenerateUniformGraphStillBalances) {
   for (std::size_t i = 0; i < 6; ++i) {
     for (std::size_t j = i + 1; j < 6; ++j) w.set(i, j, 1.0);
   }
-  for (const auto method : {MinCutMethod::Greedy, MinCutMethod::KernighanLin,
-                            MinCutMethod::Spectral}) {
-    const Allocation result = balanced_min_cut(w, 2, method, 29);
-    EXPECT_EQ(result.members(0).size(), 3u) << to_string(method);
-  }
+  EXPECT_EQ(heuristic_min_cut(w, 2).members(0).size(), 3u);
+  EXPECT_EQ(heuristic_min_cut(w, 3).members(2).size(), 2u);
 }
 
-TEST(MinCut, MethodNameRoundTrip) {
-  for (const auto method : {MinCutMethod::Exhaustive, MinCutMethod::Greedy,
-                            MinCutMethod::KernighanLin, MinCutMethod::Spectral,
-                            MinCutMethod::Auto}) {
-    EXPECT_EQ(parse_mincut_method(to_string(method)), method);
+TEST(MinCut, SizesMatchBalancedGroupSizes) {
+  // Every bisection must hand each side exactly its groups' share of the
+  // nodes, for even, odd and uneven group counts alike.
+  util::Rng rng(31);
+  for (const std::size_t groups : {2u, 3u, 5u, 6u}) {
+    for (std::size_t n = groups; n <= 20; ++n) {
+      SymMatrix w(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) w.set(i, j, rng.next_double());
+      }
+      const Allocation result = balanced_min_cut(w, groups);
+      std::vector<std::size_t> got;
+      for (std::size_t g = 0; g < groups; ++g) got.push_back(result.members(g).size());
+      auto want = balanced_group_sizes(n, groups);
+      std::sort(got.begin(), got.end());
+      std::sort(want.begin(), want.end());
+      EXPECT_EQ(got, want) << n << " tasks / " << groups << " groups";
+    }
   }
-  EXPECT_THROW((void)parse_mincut_method("magic"), std::invalid_argument);
 }
 
 }  // namespace

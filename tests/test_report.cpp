@@ -165,7 +165,7 @@ PipelineConfig clustered_pipeline() {
   return c;
 }
 
-TEST(Report, DegenerateTopologyStampsLegacyVersionAndNoGraphFields) {
+TEST(Report, DegenerateTopologyStampsV2WithGraphFields) {
   // The legacy two-level testbeds stamp v2 like every other topology: the
   // machine names its cluster count and shape, and a measured mapping
   // carries l1/l2 level stats (no L3 or partition fields on this machine).
@@ -256,7 +256,7 @@ TEST(Report, ValidatorChecksLevelEntries) {
   EXPECT_NE(problems[0].find("misses"), std::string::npos);
 }
 
-TEST(Report, ValidatorAcceptsBothSchemaVersions) {
+TEST(Report, ValidatorAcceptsOnlyV2) {
   // Only v2 is accepted; the retired v1 stamp is rejected by name.
   obs::Json report = build_mix_report(tiny_pipeline(), synthetic_outcome());
   EXPECT_TRUE(validate_report(report).empty());

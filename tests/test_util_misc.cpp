@@ -93,19 +93,25 @@ TEST(ArgParser, RejectsUnknownOption) {
   ArgParser args("prog", "test");
   const char* argv[] = {"prog", "--nope"};
   EXPECT_FALSE(args.parse(2, argv));
+  EXPECT_EQ(args.exit_status(), 2);
 }
 
 TEST(ArgParser, RejectsBadNumber) {
-  ArgParser args("prog", "test");
-  args.add_i64("n", "int", 0);
-  const char* argv[] = {"prog", "--n=abc"};
-  EXPECT_FALSE(args.parse(2, argv));
+  for (const char* arg : {"--n=abc", "--u=-1"}) {
+    ArgParser args("prog", "test");
+    args.add_i64("n", "int", 0);
+    auto& u = args.add_u64("u", "u64", 3);
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(args.parse(2, argv)) << arg;
+    EXPECT_EQ(u, 3u) << arg;
+  }
 }
 
 TEST(ArgParser, HelpReturnsFalse) {
   ArgParser args("prog", "test");
   const char* argv[] = {"prog", "--help"};
   EXPECT_FALSE(args.parse(2, argv));
+  EXPECT_EQ(args.exit_status(), 0);
 }
 
 TEST(Log, ParseLevels) {
