@@ -12,7 +12,7 @@ Cache::Cache(CacheGeometry geometry, ReplacementKind replacement, std::size_t re
       sets_(geometry.sets()),
       set_mask_(geometry.sets() - 1),
       set_bits_(geometry.set_bits()),
-      policy_(make_replacement(replacement, geometry.sets(), geometry.ways, seed)),
+      policy_(replacement, geometry.sets(), geometry.ways, seed),
       lines_(geometry.lines()),
       per_requestor_(requestors),
       fill_range_(requestors, WayRange{0, geometry.ways}) {
@@ -23,7 +23,7 @@ void Cache::set_partition(const CachePartition& partition,
                           const std::vector<std::size_t>& group_of_requestor) {
   SYM_CHECK(partition.enabled(), "cachesim.partition")
       << "set_partition with an empty partition (use the default full range)";
-  SYM_CHECK(policy_->supports_partitioning(), "cachesim.partition")
+  SYM_CHECK(policy_.partitionable(), "cachesim.partition")
       << "replacement policy cannot confine victims to a way range";
   SYM_CHECK_EQ(group_of_requestor.size(), per_requestor_.size(), "cachesim.partition")
       << "need one group id per requestor";
@@ -67,8 +67,7 @@ SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t req
       result.hit = true;
       result.way = w;
       entry.dirty = entry.dirty || is_write;
-      // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-      policy_->on_touch(set, w);
+      policy_.on_touch(set, w);
       ++total_.hits;
       ++per_requestor_[requestor].hits;
       return result;
@@ -91,8 +90,7 @@ SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t req
     }
   }
   if (way == ways_) {
-    // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-    way = policy_->victim_in(set, range.begin, range.end);
+    way = policy_.victim(set, range.begin, range.end);
     SYM_DCHECK(way >= range.begin && way < range.end, "cachesim.replacement")
         << "replacement policy chose a victim outside the requestor's way range";
     Line& victim = set_lines[way];
@@ -115,8 +113,7 @@ SYM_HOT AccessResult Cache::access(LineAddr line, bool is_write, std::size_t req
   entry.valid = true;
   entry.dirty = is_write;
   entry.owner = requestor;
-  // symhot: indirect(replacement-policy virtual dispatch; every override is a SYM_HOT root)
-  policy_->on_fill(set, way);
+  policy_.on_fill(set, way);
   result.way = way;
   return result;
 }
@@ -163,7 +160,7 @@ std::size_t Cache::occupancy(std::size_t requestor) const noexcept {
 
 void Cache::reset() noexcept {
   for (auto& entry : lines_) entry = Line{};
-  policy_->reset();
+  policy_.reset();
   reset_stats();
 }
 

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "cachesim/addr.hpp"
@@ -117,7 +116,7 @@ class Cache {
   std::size_t sets_;
   std::uint64_t set_mask_;   ///< sets_ - 1 (sets is a power of two)
   unsigned set_bits_;
-  std::unique_ptr<ReplacementPolicy> policy_;
+  Replacement policy_;
   std::vector<Line> lines_;
   CacheStats total_;
   std::vector<CacheStats> per_requestor_;

@@ -1,4 +1,4 @@
-// replacement.hpp — victim-selection policies for set-associative caches.
+// replacement.hpp — victim selection for set-associative caches.
 //
 // The paper's L2 is modelled after the Core 2 Duo's (effectively LRU-like);
 // the other policies exist for tests and sensitivity studies, and because
@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,36 +19,36 @@ enum class ReplacementKind { Lru, Fifo, Random, TreePlru, Srrip };
 [[nodiscard]] std::string to_string(ReplacementKind kind);
 [[nodiscard]] ReplacementKind parse_replacement(const std::string& name);
 
-/// Per-set replacement state machine. One instance serves the whole cache;
-/// set/way coordinates are passed in.
-class ReplacementPolicy {
+/// Per-set replacement state for one whole cache; set/way coordinates are
+/// passed in. The policy set is closed, so every member switches on the kind.
+/// @p seed only matters for Random; tree-PLRU needs power-of-two ways.
+class Replacement {
  public:
-  virtual ~ReplacementPolicy() = default;
+  Replacement(ReplacementKind kind, std::size_t sets, std::size_t ways, std::uint64_t seed = 1);
 
-  /// Called on every hit or fill touch of (set, way).
-  virtual void on_touch(std::size_t set, std::size_t way) noexcept = 0;
+  /// Called on every hit of (set, way).
+  void on_touch(std::size_t set, std::size_t way) noexcept;
   /// Called when (set, way) receives a brand-new line.
-  virtual void on_fill(std::size_t set, std::size_t way) noexcept = 0;
-  /// Choose the victim way within @p set (all ways valid).
-  [[nodiscard]] virtual std::size_t victim(std::size_t set) noexcept = 0;
-  /// Choose the victim within ways [@p begin, @p end) of @p set — the
-  /// way-partitioned variant (cachesim/topology.hpp). Contract:
-  /// victim_in(set, 0, ways) is BIT-IDENTICAL to victim(set) for every
-  /// policy, including any RNG draws, so an unpartitioned cache can route
-  /// all victim selection through this entry point without drift.
-  [[nodiscard]] virtual std::size_t victim_in(std::size_t set, std::size_t begin,
-                                              std::size_t end) noexcept = 0;
-  /// False for policies whose state cannot be confined to a way range
-  /// (tree-PLRU); Cache::set_partition rejects those.
-  [[nodiscard]] virtual bool supports_partitioning() const noexcept { return true; }
-  /// Drop all state.
-  virtual void reset() noexcept = 0;
-};
+  void on_fill(std::size_t set, std::size_t way) noexcept;
+  /// Choose the victim within ways [@p begin, @p end) of @p set, all valid:
+  /// [0, ways) unpartitioned, the requestor's range when way-partitioned
+  /// (cachesim/topology.hpp). Random draws exactly once per call.
+  [[nodiscard]] std::size_t victim(std::size_t set, std::size_t begin, std::size_t end) noexcept;
+  /// False for tree-PLRU, whose decision tree spans the whole set and so
+  /// cannot confine victims to a way range; Cache::set_partition rejects it.
+  [[nodiscard]] bool partitionable() const noexcept { return kind_ != ReplacementKind::TreePlru; }
+  /// Drop all state (Random's stream continues).
+  void reset() noexcept;
 
-/// Factory. @p seed only matters for Random.
-[[nodiscard]] std::unique_ptr<ReplacementPolicy> make_replacement(ReplacementKind kind,
-                                                                  std::size_t sets,
-                                                                  std::size_t ways,
-                                                                  std::uint64_t seed = 1);
+ private:
+  ReplacementKind kind_;
+  std::size_t ways_;
+  /// LRU/FIFO: last touch (LRU) or fill (FIFO) time per line.
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t clock_ = 0;
+  /// SRRIP: one RRPV per line. Tree-PLRU: (ways - 1) node bits per set.
+  std::vector<std::uint8_t> bits_;
+  util::Rng rng_;
+};
 
 }  // namespace symbiosis::cachesim

@@ -97,9 +97,12 @@ bool ArgParser::assign(Option& opt, const std::string& value) {
     case Kind::Double:
       *opt.d = std::strtod(value.c_str(), &end);
       break;
-    case Kind::Flag:
-      *opt.b = (value == "true" || value == "1" || value == "yes");
+    case Kind::Flag: {
+      const bool on = value == "true" || value == "1" || value == "yes";
+      if (!on && value != "false" && value != "0" && value != "no") break;  // bad value below
+      *opt.b = on;
       return true;
+    }
   }
   if (end == nullptr || end == value.c_str() || *end != '\0' || errno == ERANGE) {
     std::fprintf(stderr, "%s: bad value '%s' for --%s\n", program_.c_str(), value.c_str(),

@@ -29,6 +29,8 @@ class ArgParser {
   std::int64_t& add_i64(std::string name, std::string help, std::int64_t default_value);
   std::uint64_t& add_u64(std::string name, std::string help, std::uint64_t default_value);
   double& add_double(std::string name, std::string help, double default_value);
+  /// `--name` sets the flag; `--name=true|1|yes` sets and `--name=false|0|no`
+  /// clears it; any other value is malformed.
   bool& add_flag(std::string name, std::string help);
 
   /// Parse argv. On "--help" prints usage and returns false; on a malformed

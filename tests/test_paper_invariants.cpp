@@ -2,7 +2,13 @@
 // against the text of §2.4/§3.1/§3.3 and exercised on randomized inputs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <utility>
+
 #include "sched/interference_graph.hpp"
+#include "sched/mincut.hpp"
+#include "sched/policy.hpp"
 #include "sched/weight_sort.hpp"
 #include "sig/filter_unit.hpp"
 #include "util/rng.hpp"
@@ -106,6 +112,65 @@ TEST(PaperInvariants, WeightSortOrderInvariant) {
     unshuffled.group_of[order[pos]] = shuffled_alloc.group_of[pos];
   }
   EXPECT_EQ(direct, unshuffled);
+}
+
+/// §3.3.2/§3.3.3 metamorphic: the graph allocators' MIN-CUT depends only on
+/// the interference structure, not on how tasks or cores are numbered. On 8
+/// tasks in 2 groups (the exhaustive path) with continuous random metrics the
+/// optimum is unique, so permuting the profiles or swapping core ids 0<->1
+/// must return the same partition up to relabelling.
+TEST(PaperInvariants, GraphAllocatorsRelabelInvariant) {
+  constexpr std::size_t kTasks = 8;
+  util::Rng rng(9);
+  for (const char* name : {"graph", "weighted-graph"}) {
+    const auto alloc = sched::make_allocator(name);
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<sched::TaskProfile> profiles(kTasks);
+      for (std::size_t i = 0; i < kTasks; ++i) {
+        profiles[i].task_index = i;
+        profiles[i].occupancy_weight = 50.0 + 500.0 * rng.next_double();
+        profiles[i].symbiosis_per_core = {10.0 + 400.0 * rng.next_double(),
+                                          10.0 + 400.0 * rng.next_double()};
+        profiles[i].last_core = rng.next_below(2);
+      }
+      const sched::Allocation direct = alloc->allocate(profiles, 2);
+
+      // The optimum is unique: every other balanced split cuts more.
+      const auto w = sched::build_interference_graph(profiles, std::string(name) != "graph");
+      const double best = sched::cut_weight(w, direct);
+      for (std::uint32_t mask = 0; mask < (1u << kTasks); ++mask) {
+        const auto ones = static_cast<std::size_t>(std::popcount(mask));
+        if (ones != kTasks / 2 || (mask & 1u) == 0) continue;
+        sched::Allocation other;
+        other.groups = 2;
+        for (std::size_t i = 0; i < kTasks; ++i) other.group_of.push_back((mask >> i) & 1u);
+        if (other == direct) continue;
+        ASSERT_GT(sched::cut_weight(w, other), best * (1.0 + 1e-9)) << name << " trial " << trial;
+      }
+
+      std::vector<std::size_t> order(kTasks);
+      for (std::size_t i = 0; i < kTasks; ++i) order[i] = i;
+      rng.shuffle(order);
+      std::vector<sched::TaskProfile> permuted;
+      for (const auto idx : order) permuted.push_back(profiles[idx]);
+      for (std::size_t pos = 0; pos < kTasks; ++pos) permuted[pos].task_index = pos;
+      const sched::Allocation permuted_alloc = alloc->allocate(permuted, 2);
+      sched::Allocation unpermuted;
+      unpermuted.groups = 2;
+      unpermuted.group_of.resize(kTasks);
+      for (std::size_t pos = 0; pos < kTasks; ++pos) {
+        unpermuted.group_of[order[pos]] = permuted_alloc.group_of[pos];
+      }
+      EXPECT_EQ(direct, unpermuted) << name << " trial " << trial;
+
+      std::vector<sched::TaskProfile> swapped = profiles;
+      for (auto& p : swapped) {
+        std::swap(p.symbiosis_per_core[0], p.symbiosis_per_core[1]);
+        p.last_core = 1 - p.last_core;
+      }
+      EXPECT_EQ(direct, alloc->allocate(swapped, 2)) << name << " trial " << trial;
+    }
+  }
 }
 
 /// §3.3.3: the weighted graph's edges scale linearly with occupancy —

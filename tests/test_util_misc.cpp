@@ -97,14 +97,28 @@ TEST(ArgParser, RejectsUnknownOption) {
 }
 
 TEST(ArgParser, RejectsBadNumber) {
-  for (const char* arg : {"--n=abc", "--u=-1"}) {
+  for (const char* arg : {"--n=abc", "--u=-1", "--f=ture"}) {
     ArgParser args("prog", "test");
     args.add_i64("n", "int", 0);
     auto& u = args.add_u64("u", "u64", 3);
+    auto& f = args.add_flag("f", "flag");
     const char* argv[] = {"prog", arg};
     EXPECT_FALSE(args.parse(2, argv)) << arg;
+    EXPECT_EQ(args.exit_status(), 2) << arg;
     EXPECT_EQ(u, 3u) << arg;
+    EXPECT_FALSE(f) << arg;
   }
+}
+
+TEST(ArgParser, FlagTakesExplicitValues) {
+  ArgParser args("prog", "test");
+  auto& f = args.add_flag("verbose", "a flag");
+  const char* on[] = {"prog", "--verbose=yes"};
+  ASSERT_TRUE(args.parse(2, on));
+  EXPECT_TRUE(f);
+  const char* off[] = {"prog", "--verbose", "--verbose=no"};
+  ASSERT_TRUE(args.parse(3, off));
+  EXPECT_FALSE(f);
 }
 
 TEST(ArgParser, HelpReturnsFalse) {
