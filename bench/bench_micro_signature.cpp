@@ -1,10 +1,9 @@
-// Micro-benchmarks of the signature hardware model: hash functions, CBF
-// insert/remove, filter-unit event handling, RBV derivation, symbiosis.
+// Micro-benchmarks of the signature hardware model: hash functions,
+// filter-unit event handling, RBV derivation, symbiosis.
 // These bound the simulation's per-event cost (and, loosely, argue the
 // hardware operations are trivially cheap — §5.4).
 #include <benchmark/benchmark.h>
 
-#include "sig/counting_bloom.hpp"
 #include "sig/filter_unit.hpp"
 #include "util/rng.hpp"
 
@@ -27,33 +26,6 @@ BENCHMARK(BM_HashIndex)
     ->Arg(static_cast<int>(sig::HashKind::XorInverseReverse))
     ->Arg(static_cast<int>(sig::HashKind::Modulo))
     ->Arg(static_cast<int>(sig::HashKind::Multiply));
-
-void BM_CountingBloomInsertRemove(benchmark::State& state) {
-  sig::CountingBloomFilter cbf(4096, 3, static_cast<unsigned>(state.range(0)));
-  util::Rng rng(2);
-  sig::LineAddr line = 0;
-  for (auto _ : state) {
-    cbf.insert(line);
-    cbf.remove(line);
-    ++line;
-  }
-}
-BENCHMARK(BM_CountingBloomInsertRemove)->Arg(1)->Arg(2)->Arg(4);
-
-void BM_CountingBloomInsertRemovePrehashed(benchmark::State& state) {
-  // Replay-path variant: hash the k indices once per line (indices_of) and
-  // drive both the insert and the remove from the precomputed set — the
-  // pattern the batched trace replay uses for fill/evict pairs.
-  sig::CountingBloomFilter cbf(4096, 3, static_cast<unsigned>(state.range(0)));
-  sig::LineAddr line = 0;
-  for (auto _ : state) {
-    const sig::BloomIndices indices = cbf.indices_of(line);
-    cbf.insert(indices);
-    cbf.remove(indices);
-    ++line;
-  }
-}
-BENCHMARK(BM_CountingBloomInsertRemovePrehashed)->Arg(1)->Arg(2)->Arg(4);
 
 void BM_FilterUnitFillEvict(benchmark::State& state) {
   sig::FilterUnitConfig cfg;

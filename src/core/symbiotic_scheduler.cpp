@@ -73,6 +73,8 @@ sched::Allocation SymbioticScheduler::run_phase1(machine::Machine& m,
     sched::DefaultAllocator fallback;
     return fallback.allocate(collect_profiles(m), cores);
   }
+  // max_element keeps the first maximum, so a tie goes to the smallest
+  // canonical key (votes_ is ordered by key).
   const auto winner = std::max_element(
       votes_.begin(), votes_.end(),
       [](const auto& a, const auto& b) { return a.second < b.second; });

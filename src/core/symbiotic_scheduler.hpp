@@ -77,7 +77,9 @@ class SymbioticScheduler {
   explicit SymbioticScheduler(PipelineConfig config);
 
   /// Phase 1 for a single-threaded mix (names from spec2006_pool()).
-  /// Returns the majority allocation of tasks onto cores.
+  /// Returns the majority allocation of tasks onto cores. A tie for the
+  /// most votes goes to the lexicographically smallest canonical key of
+  /// vote_table() (e.g. "0,0,1,1" before "0,1,1,0").
   [[nodiscard]] sched::Allocation choose_allocation(const std::vector<std::string>& mix);
 
   /// Phase 1 for a multi-threaded (PARSEC) mix; the allocation is over ALL
@@ -85,7 +87,8 @@ class SymbioticScheduler {
   /// algorithm regardless of config.allocator.
   [[nodiscard]] sched::Allocation choose_allocation_mt(const std::vector<std::string>& mix);
 
-  /// Vote table of the last choose_allocation* call: canonical key → votes.
+  /// Vote table of the last choose_allocation* call: canonical key → votes,
+  /// in key order; the winner is the first key holding the most votes.
   [[nodiscard]] const std::map<std::string, int>& vote_table() const noexcept { return votes_; }
 
   [[nodiscard]] const PipelineConfig& config() const noexcept { return config_; }

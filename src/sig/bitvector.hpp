@@ -34,9 +34,6 @@ class BitVector {
   /// paper's symbiosis metric between an RBV and a core filter.
   [[nodiscard]] std::size_t xor_popcount(const BitVector& other) const noexcept;
 
-  /// popcount(*this AND other) — overlap, used by tests and diagnostics.
-  [[nodiscard]] std::size_t and_popcount(const BitVector& other) const noexcept;
-
   /// *this = a AND NOT b. This is the RBV derivation: RBV = CF ∧ ¬LF
   /// (equivalently ¬(CF → LF)). Sizes must match.
   void assign_and_not(const BitVector& a, const BitVector& b) noexcept;

@@ -30,11 +30,13 @@ HashKind parse_hash_kind(const std::string& name) {
 IndexHash::IndexHash(HashKind kind, std::size_t entries)
     : kind_(kind), entries_(entries), index_bits_(floor_log2(entries | 1)) {
   if (entries == 0) throw std::invalid_argument("IndexHash: entries must be > 0");
-  const bool needs_pow2 = kind == HashKind::Xor || kind == HashKind::XorInverseReverse ||
-                          kind == HashKind::Multiply;
-  if (needs_pow2 && !is_pow2(entries)) {
+  const bool folds = kind == HashKind::Xor || kind == HashKind::XorInverseReverse ||
+                     kind == HashKind::Multiply;
+  // One entry would be a zero-bit index: xor_fold would never advance and
+  // Multiply would shift by 64.
+  if (folds && (entries < 2 || !is_pow2(entries))) {
     throw std::invalid_argument("IndexHash: " + to_string(kind) +
-                                " requires a power-of-two entry count");
+                                " requires a power-of-two entry count of at least 2");
   }
   if (kind == HashKind::Presence) {
     throw std::invalid_argument(

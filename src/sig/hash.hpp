@@ -38,8 +38,9 @@ enum class HashKind {
 
 /// Stateless Bloom index hash over line addresses.
 ///
-/// `entries` must be a power of two for Xor/XorInverseReverse/Multiply
-/// (the fold width is log2(entries)); Modulo accepts any entries > 0.
+/// `entries` must be a power of two of at least 2 for Xor/XorInverseReverse/
+/// Multiply (the fold width is log2(entries) >= 1); Modulo accepts any
+/// entries > 0.
 class IndexHash {
  public:
   IndexHash(HashKind kind, std::size_t entries);
@@ -47,8 +48,8 @@ class IndexHash {
   /// Map a line address to an index in [0, entries).
   ///
   /// Defined inline: this is the innermost kernel of every Bloom update on
-  /// the simulation hot path, and the call sites (CountingBloomFilter,
-  /// FilterUnit) live in other translation units.
+  /// the simulation hot path, and its call site (FilterUnit) lives in
+  /// another translation unit.
   [[nodiscard]] std::size_t index(LineAddr line) const noexcept {
     switch (kind_) {
       case HashKind::Xor:

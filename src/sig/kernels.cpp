@@ -9,7 +9,6 @@
 
 #include "util/hotpath.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -42,14 +41,6 @@ SYM_HOT std::size_t xor_popcount_scalar(const std::uint64_t* a, const std::uint6
   return total;
 }
 
-SYM_HOT std::size_t and_popcount_scalar(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
 SYM_HOT void and_not_scalar(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
                     std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] & ~b[i];
@@ -60,51 +51,9 @@ SYM_HOT void xor_popcount_many_scalar(const std::uint64_t* a, const std::uint64_
   for (std::size_t c = 0; c < count; ++c) out[c] = xor_popcount_scalar(a, bs[c], words);
 }
 
-SYM_HOT std::size_t nibble_count_eq_scalar(const std::uint8_t* packed, std::size_t nibbles,
-                                   std::uint8_t value) {
-  std::size_t total = 0;
-  const std::size_t full = nibbles / 2;
-  for (std::size_t i = 0; i < full; ++i) {
-    const std::uint8_t byte = packed[i];
-    total += static_cast<std::size_t>((byte & 0x0f) == value);
-    total += static_cast<std::size_t>((byte >> 4) == value);
-  }
-  if ((nibbles & 1) != 0) total += static_cast<std::size_t>((packed[full] & 0x0f) == value);
-  return total;
-}
-
-SYM_HOT void nibble_merge_saturating_scalar(std::uint8_t* dst, const std::uint8_t* src,
-                                    std::size_t nibbles, std::uint8_t max_value) {
-  // The padding nibble of an odd count is zero in both operands, so whole
-  // bytes can be processed uniformly (0 + 0 saturates to 0).
-  const std::size_t bytes = (nibbles + 1) / 2;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    const std::uint8_t lo =
-        std::min<std::uint8_t>(static_cast<std::uint8_t>((dst[i] & 0x0f) + (src[i] & 0x0f)),
-                               max_value);
-    const std::uint8_t hi =
-        std::min<std::uint8_t>(static_cast<std::uint8_t>((dst[i] >> 4) + (src[i] >> 4)),
-                               max_value);
-    dst[i] = static_cast<std::uint8_t>(lo | (hi << 4));
-  }
-}
-
-SYM_HOT void nibble_decay_scalar(std::uint8_t* packed, std::size_t nibbles, std::uint8_t max_value) {
-  const std::size_t bytes = (nibbles + 1) / 2;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    std::uint8_t lo = packed[i] & 0x0f;
-    std::uint8_t hi = packed[i] >> 4;
-    if (lo != 0 && lo != max_value) --lo;  // stuck-at-max, like remove()
-    if (hi != 0 && hi != max_value) --hi;
-    packed[i] = static_cast<std::uint8_t>(lo | (hi << 4));
-  }
-}
-
 constexpr KernelOps kScalarOps{
-    util::SimdBackend::Scalar, popcount_scalar,        xor_popcount_scalar,
-    and_popcount_scalar,       and_not_scalar,         xor_popcount_many_scalar,
-    nibble_count_eq_scalar,    nibble_merge_saturating_scalar,
-    nibble_decay_scalar,
+    util::SimdBackend::Scalar, popcount_scalar, xor_popcount_scalar, and_not_scalar,
+    xor_popcount_many_scalar,
 };
 
 // ----------------------------------------------------------------- AVX2
@@ -159,19 +108,6 @@ SYM_HOT SYMBIOSIS_TARGET_AVX2 std::size_t xor_popcount_avx2(const std::uint64_t*
   return total;
 }
 
-SYM_HOT SYMBIOSIS_TARGET_AVX2 std::size_t and_popcount_avx2(const std::uint64_t* a,
-                                                    const std::uint64_t* b, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i v = _mm256_and_si256(load_words_avx2(a + i), load_words_avx2(b + i));
-    acc = _mm256_add_epi64(acc, block_popcount_avx2(v));
-  }
-  std::size_t total = hsum_epi64_avx2(acc);
-  for (; i < n; ++i) total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  return total;
-}
-
 SYM_HOT SYMBIOSIS_TARGET_AVX2 void and_not_avx2(std::uint64_t* dst, const std::uint64_t* a,
                                         const std::uint64_t* b, std::size_t n) {
   std::size_t i = 0;
@@ -190,87 +126,9 @@ SYM_HOT SYMBIOSIS_TARGET_AVX2 void xor_popcount_many_avx2(const std::uint64_t* a
   for (std::size_t c = 0; c < count; ++c) out[c] = xor_popcount_avx2(a, bs[c], words);
 }
 
-SYM_HOT SYMBIOSIS_TARGET_AVX2 std::size_t nibble_count_eq_avx2(const std::uint8_t* packed,
-                                                       std::size_t nibbles, std::uint8_t value) {
-  const std::size_t full = nibbles / 2;
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i needle = _mm256_set1_epi8(static_cast<char>(value));
-  std::size_t total = 0;
-  std::size_t i = 0;
-  for (; i + 32 <= full; i += 32) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(packed + i));
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    const auto lo_mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, needle)));
-    const auto hi_mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, needle)));
-    total += static_cast<std::size_t>(std::popcount(lo_mask)) +
-             static_cast<std::size_t>(std::popcount(hi_mask));
-  }
-  for (; i < full; ++i) {
-    total += static_cast<std::size_t>((packed[i] & 0x0f) == value);
-    total += static_cast<std::size_t>((packed[i] >> 4) == value);
-  }
-  if ((nibbles & 1) != 0) total += static_cast<std::size_t>((packed[full] & 0x0f) == value);
-  return total;
-}
-
-SYM_HOT SYMBIOSIS_TARGET_AVX2 void nibble_merge_saturating_avx2(std::uint8_t* dst,
-                                                        const std::uint8_t* src,
-                                                        std::size_t nibbles,
-                                                        std::uint8_t max_value) {
-  const std::size_t bytes = (nibbles + 1) / 2;
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i vmax = _mm256_set1_epi8(static_cast<char>(max_value));
-  std::size_t i = 0;
-  for (; i + 32 <= bytes; i += 32) {
-    const __m256i d = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    const __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    const __m256i lo =
-        _mm256_min_epu8(_mm256_add_epi8(_mm256_and_si256(d, low_mask),
-                                        _mm256_and_si256(s, low_mask)),
-                        vmax);
-    const __m256i hi = _mm256_min_epu8(
-        _mm256_add_epi8(_mm256_and_si256(_mm256_srli_epi16(d, 4), low_mask),
-                        _mm256_and_si256(_mm256_srli_epi16(s, 4), low_mask)),
-        vmax);
-    // hi bytes are <= 15, so the 16-bit-lane shift cannot bleed across bytes.
-    const __m256i merged = _mm256_or_si256(lo, _mm256_slli_epi16(hi, 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), merged);
-  }
-  if (i < bytes) {
-    nibble_merge_saturating_scalar(dst + i, src + i, (bytes - i) * 2, max_value);
-  }
-}
-
-SYM_HOT SYMBIOSIS_TARGET_AVX2 void nibble_decay_avx2(std::uint8_t* packed, std::size_t nibbles,
-                                             std::uint8_t max_value) {
-  const std::size_t bytes = (nibbles + 1) / 2;
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i vmax = _mm256_set1_epi8(static_cast<char>(max_value));
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 32 <= bytes; i += 32) {
-    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(packed + i));
-    const __m256i lo = _mm256_and_si256(v, low_mask);
-    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low_mask);
-    // 0xff where the counter is in (0, max): decrement by adding the mask.
-    const __m256i lo_dec = _mm256_andnot_si256(_mm256_cmpeq_epi8(lo, vmax),
-                                               _mm256_cmpgt_epi8(lo, zero));
-    const __m256i hi_dec = _mm256_andnot_si256(_mm256_cmpeq_epi8(hi, vmax),
-                                               _mm256_cmpgt_epi8(hi, zero));
-    const __m256i lo_new = _mm256_add_epi8(lo, lo_dec);
-    const __m256i hi_new = _mm256_add_epi8(hi, hi_dec);
-    const __m256i merged = _mm256_or_si256(lo_new, _mm256_slli_epi16(hi_new, 4));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(packed + i), merged);
-  }
-  if (i < bytes) nibble_decay_scalar(packed + i, (bytes - i) * 2, max_value);
-}
-
 constexpr KernelOps kAvx2Ops{
-    util::SimdBackend::Avx2, popcount_avx2,        xor_popcount_avx2,
-    and_popcount_avx2,       and_not_avx2,         xor_popcount_many_avx2,
-    nibble_count_eq_avx2,    nibble_merge_saturating_avx2,
-    nibble_decay_avx2,
+    util::SimdBackend::Avx2, popcount_avx2, xor_popcount_avx2, and_not_avx2,
+    xor_popcount_many_avx2,
 };
 
 #endif  // SYMBIOSIS_KERNELS_AVX2
@@ -301,17 +159,6 @@ SYM_HOT std::size_t xor_popcount_neon(const std::uint64_t* a, const std::uint64_
   return total;
 }
 
-SYM_HOT std::size_t and_popcount_neon(const std::uint64_t* a, const std::uint64_t* b, std::size_t n) {
-  std::size_t total = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t v = vandq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    total += vaddvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
-  }
-  for (; i < n; ++i) total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  return total;
-}
-
 SYM_HOT void and_not_neon(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
                   std::size_t n) {
   std::size_t i = 0;
@@ -326,75 +173,9 @@ SYM_HOT void xor_popcount_many_neon(const std::uint64_t* a, const std::uint64_t*
   for (std::size_t c = 0; c < count; ++c) out[c] = xor_popcount_neon(a, bs[c], words);
 }
 
-SYM_HOT std::size_t nibble_count_eq_neon(const std::uint8_t* packed, std::size_t nibbles,
-                                 std::uint8_t value) {
-  const std::size_t full = nibbles / 2;
-  const uint8x16_t low_mask = vdupq_n_u8(0x0f);
-  const uint8x16_t needle = vdupq_n_u8(value);
-  const uint8x16_t one = vdupq_n_u8(1);
-  std::size_t total = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= full; i += 16) {
-    const uint8x16_t v = vld1q_u8(packed + i);
-    const uint8x16_t lo = vandq_u8(v, low_mask);
-    const uint8x16_t hi = vshrq_n_u8(v, 4);
-    total += vaddvq_u8(vandq_u8(vceqq_u8(lo, needle), one));
-    total += vaddvq_u8(vandq_u8(vceqq_u8(hi, needle), one));
-  }
-  for (; i < full; ++i) {
-    total += static_cast<std::size_t>((packed[i] & 0x0f) == value);
-    total += static_cast<std::size_t>((packed[i] >> 4) == value);
-  }
-  if ((nibbles & 1) != 0) total += static_cast<std::size_t>((packed[full] & 0x0f) == value);
-  return total;
-}
-
-SYM_HOT void nibble_merge_saturating_neon(std::uint8_t* dst, const std::uint8_t* src,
-                                  std::size_t nibbles, std::uint8_t max_value) {
-  const std::size_t bytes = (nibbles + 1) / 2;
-  const uint8x16_t low_mask = vdupq_n_u8(0x0f);
-  const uint8x16_t vmax = vdupq_n_u8(max_value);
-  std::size_t i = 0;
-  for (; i + 16 <= bytes; i += 16) {
-    const uint8x16_t d = vld1q_u8(dst + i);
-    const uint8x16_t s = vld1q_u8(src + i);
-    const uint8x16_t lo =
-        vminq_u8(vaddq_u8(vandq_u8(d, low_mask), vandq_u8(s, low_mask)), vmax);
-    const uint8x16_t hi = vminq_u8(vaddq_u8(vshrq_n_u8(d, 4), vshrq_n_u8(s, 4)), vmax);
-    vst1q_u8(dst + i, vorrq_u8(lo, vshlq_n_u8(hi, 4)));
-  }
-  if (i < bytes) {
-    nibble_merge_saturating_scalar(dst + i, src + i, (bytes - i) * 2, max_value);
-  }
-}
-
-SYM_HOT void nibble_decay_neon(std::uint8_t* packed, std::size_t nibbles, std::uint8_t max_value) {
-  const std::size_t bytes = (nibbles + 1) / 2;
-  const uint8x16_t low_mask = vdupq_n_u8(0x0f);
-  const uint8x16_t vmax = vdupq_n_u8(max_value);
-  const uint8x16_t zero = vdupq_n_u8(0);
-  const uint8x16_t one = vdupq_n_u8(1);
-  std::size_t i = 0;
-  for (; i + 16 <= bytes; i += 16) {
-    const uint8x16_t v = vld1q_u8(packed + i);
-    const uint8x16_t lo = vandq_u8(v, low_mask);
-    const uint8x16_t hi = vshrq_n_u8(v, 4);
-    const uint8x16_t lo_dec =
-        vandq_u8(vbicq_u8(vcgtq_u8(lo, zero), vceqq_u8(lo, vmax)), one);
-    const uint8x16_t hi_dec =
-        vandq_u8(vbicq_u8(vcgtq_u8(hi, zero), vceqq_u8(hi, vmax)), one);
-    const uint8x16_t merged =
-        vorrq_u8(vsubq_u8(lo, lo_dec), vshlq_n_u8(vsubq_u8(hi, hi_dec), 4));
-    vst1q_u8(packed + i, merged);
-  }
-  if (i < bytes) nibble_decay_scalar(packed + i, (bytes - i) * 2, max_value);
-}
-
 constexpr KernelOps kNeonOps{
-    util::SimdBackend::Neon, popcount_neon,        xor_popcount_neon,
-    and_popcount_neon,       and_not_neon,         xor_popcount_many_neon,
-    nibble_count_eq_neon,    nibble_merge_saturating_neon,
-    nibble_decay_neon,
+    util::SimdBackend::Neon, popcount_neon, xor_popcount_neon, and_not_neon,
+    xor_popcount_many_neon,
 };
 
 #endif  // SYMBIOSIS_KERNELS_NEON

@@ -1,17 +1,17 @@
 // kernels.hpp — runtime-dispatched word-parallel signature kernels.
 //
 // The signature hot loops — RBV popcount (occupancy weight), XOR-popcount
-// (the symbiosis metric), the RBV derivation CF ∧ ¬LF, and bulk passes
-// over the CBF's packed 4-bit counters — are pure integer kernels over
-// flat arrays. This layer provides one implementation per instruction set
-// (scalar / AVX2 / NEON) behind a function-pointer table selected once at
-// startup (util::active_simd_backend, overridable with SYMBIOSIS_SIMD).
+// (the symbiosis metric) and the RBV derivation CF ∧ ¬LF — are pure
+// integer kernels over flat bit arrays. This layer provides one
+// implementation per instruction set (scalar / AVX2 / NEON) behind a
+// function-pointer table selected once at startup
+// (util::active_simd_backend, overridable with SYMBIOSIS_SIMD).
 //
 // Contract: every backend computes EXACTLY the same integers — these are
-// bit-counting and saturating-counter kernels with no floating point, so
-// backend choice can never change simulation results, only speed. The
-// differential suite (tests/test_kernels.cpp) runs every compiled backend
-// against the naive references on awkward widths to keep that true.
+// bit-counting kernels with no floating point, so backend choice can never
+// change simulation results, only speed. The differential suite
+// (tests/test_kernels.cpp) runs every compiled backend against the naive
+// references on awkward widths to keep that true.
 //
 // To add a backend: extend util::SimdBackend, implement the ops in
 // kernels.cpp (guarded by the target's predefine), list it in
@@ -27,7 +27,7 @@
 namespace symbiosis::sig::kernels {
 
 /// Dispatch table of the word-parallel kernels for one backend. All
-/// pointers are non-null; `words`/`nibbles` counts of zero are valid.
+/// pointers are non-null; word counts of zero are valid.
 struct KernelOps {
   util::SimdBackend backend;
 
@@ -35,8 +35,6 @@ struct KernelOps {
   std::size_t (*popcount)(const std::uint64_t* words, std::size_t n);
   /// popcount(a XOR b) without materialising the XOR — the symbiosis metric.
   std::size_t (*xor_popcount)(const std::uint64_t* a, const std::uint64_t* b, std::size_t n);
-  /// popcount(a AND b) — footprint overlap.
-  std::size_t (*and_popcount)(const std::uint64_t* a, const std::uint64_t* b, std::size_t n);
   /// dst = a AND NOT b — the RBV derivation RBV = CF ∧ ¬LF.
   void (*and_not)(std::uint64_t* dst, const std::uint64_t* a, const std::uint64_t* b,
                   std::size_t n);
@@ -44,20 +42,6 @@ struct KernelOps {
   /// evaluating an RBV against every core filter of a cluster.
   void (*xor_popcount_many)(const std::uint64_t* a, const std::uint64_t* const* bs,
                             std::size_t count, std::size_t words, std::size_t* out);
-
-  // Bulk passes over packed 4-bit counters, two per byte (low nibble =
-  // even index; an odd count leaves the final high nibble as zero padding,
-  // which the mutating kernels preserve).
-  /// Number of counters among the first `nibbles` equal to `value`.
-  std::size_t (*nibble_count_eq)(const std::uint8_t* packed, std::size_t nibbles,
-                                 std::uint8_t value);
-  /// dst[i] = min(dst[i] + src[i], max_value) — saturating counter union.
-  void (*nibble_merge_saturating)(std::uint8_t* dst, const std::uint8_t* src,
-                                  std::size_t nibbles, std::uint8_t max_value);
-  /// Age every counter: values in (0, max_value) are decremented; zero
-  /// stays zero and max_value stays put (the stuck-at-max policy — a
-  /// saturated counter has lost its exact count, same rule as remove()).
-  void (*nibble_decay)(std::uint8_t* packed, std::size_t nibbles, std::uint8_t max_value);
 };
 
 /// Table for a specific backend — for differential tests and benches that

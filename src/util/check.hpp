@@ -7,7 +7,7 @@
 // throw (death/throw tests), or log-and-count (long soak runs).
 //
 //   SYM_CHECK(cond)                    always-on, category "check"
-//   SYM_CHECK(cond, "sig.cbf")        always-on, named category
+//   SYM_CHECK(cond, "sig.filter")     always-on, named category
 //   SYM_CHECK_EQ/LT/LE(a, b [, cat])  binary forms; print both operands
 //   SYM_CHECK_BOUNDS(i, n [, cat])    i < n, category default "bounds"
 //   SYM_DCHECK*(...)                   same family, compiled out in NDEBUG

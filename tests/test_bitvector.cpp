@@ -59,17 +59,6 @@ TEST(BitVector, XorPopcountMatchesMaterialized) {
   EXPECT_EQ(a.xor_popcount(a), 0u);
 }
 
-TEST(BitVector, AndPopcount) {
-  BitVector a(64), b(64);
-  a.set(1);
-  a.set(2);
-  a.set(3);
-  b.set(2);
-  b.set(3);
-  b.set(4);
-  EXPECT_EQ(a.and_popcount(b), 2u);
-}
-
 TEST(BitVector, AssignSnapshots) {
   BitVector cf(32), lf(32);
   cf.set(7);
@@ -149,7 +138,6 @@ TEST(BitVector, ZeroWidthIsWellBehaved) {
   EXPECT_EQ(a.size(), 0u);
   EXPECT_EQ(a.popcount(), 0u);
   EXPECT_EQ(a.xor_popcount(b), 0u);
-  EXPECT_EQ(a.and_popcount(b), 0u);
   EXPECT_EQ(a, b);
   a.reset();
   EXPECT_EQ(a.popcount(), 0u);
@@ -175,16 +163,14 @@ TEST(BitVector, AwkwardWidthsMatchBoolVectorModel) {
         ref_w[i] = set;
       }
       if (step % 250 != 0) continue;
-      std::size_t pc = 0, xp = 0, ap = 0, an = 0;
+      std::size_t pc = 0, xp = 0, an = 0;
       for (std::size_t j = 0; j < n; ++j) {
         pc += ref_v[j];
         xp += ref_v[j] != ref_w[j];
-        ap += ref_v[j] && ref_w[j];
         an += ref_v[j] && !ref_w[j];
       }
       ASSERT_EQ(v.popcount(), pc) << "width " << n;
       ASSERT_EQ(v.xor_popcount(w), xp) << "width " << n;
-      ASSERT_EQ(v.and_popcount(w), ap) << "width " << n;
       BitVector rbv(n);
       rbv.assign_and_not(v, w);
       ASSERT_EQ(rbv.popcount(), an) << "width " << n;
@@ -221,7 +207,6 @@ TEST(BitVector, AwkwardWidthInPlaceOpsMatchModel) {
       ASSERT_EQ(d.test(j), a.test(j) && b.test(j)) << "width " << n << " bit " << j;
     }
     EXPECT_EQ(a.xor_popcount(b), x.popcount()) << "width " << n;
-    EXPECT_EQ(a.and_popcount(b), d.popcount()) << "width " << n;
   }
 }
 

@@ -2,6 +2,10 @@
 // the two-phase pipeline, and the §5.4 overhead model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/experiment.hpp"
 #include "core/overheads.hpp"
 #include "core/profile.hpp"
@@ -76,6 +80,28 @@ TEST(Pipeline, ChooseAllocationReturnsBalancedMapping) {
   EXPECT_FALSE(pipeline.vote_table().empty());
   // Balanced: two per core.
   EXPECT_EQ(alloc.members(0).size(), 2u);
+}
+
+TEST(Pipeline, VoteTieGoesToSmallestCanonicalKey) {
+  // mix_runner's default mix and configuration: its phase 1 ties at the
+  // top of the vote table, and the smallest tied key must win.
+  PipelineConfig config;
+  config.machine.hierarchy.num_cores = 2;
+  config.machine.hierarchy.l2.size_bytes = 256 * 1024;
+  config.sync_scale();
+  config.allocator = "weighted-graph";
+  config.seed = 42;
+  SymbioticScheduler pipeline(config);
+  const auto alloc = pipeline.choose_allocation({"mcf", "libquantum", "povray", "gobmk"});
+  const auto& votes = pipeline.vote_table();
+  int most = 0;
+  for (const auto& [key, count] : votes) most = std::max(most, count);
+  std::vector<std::string> tied;
+  for (const auto& [key, count] : votes) {
+    if (count == most) tied.push_back(key);
+  }
+  ASSERT_GE(tied.size(), 2u) << "this mix no longer ties; pick one that does";
+  EXPECT_EQ(alloc.key(), tied.front());
 }
 
 TEST(Pipeline, MeasureMappingProducesUserTimes) {

@@ -3,7 +3,6 @@
 
 #include "core/profile.hpp"
 #include "machine/machine.hpp"
-#include "sig/counting_bloom.hpp"
 #include "util/check.hpp"
 #include "vm/hypervisor.hpp"
 #include "workload/benchmark_model.hpp"
@@ -148,22 +147,6 @@ TEST(EdgeCases, FilterInvariantsHoldAfterMixedRun) {
   EXPECT_TRUE(m.run_to_all_complete());
   EXPECT_NO_THROW(filter->validate());
   EXPECT_EQ(util::check_violation_total(), 0u);
-}
-
-TEST(EdgeCases, CountingBloomStaysConsistentThroughChurn) {
-  // Saturating counters plus remove-on-zero no-ops must never corrupt the
-  // nonzero bookkeeping that validate() audits.
-  const util::ScopedCheckMode guard(util::CheckMode::Throw);
-  sig::CountingBloomFilter cbf(/*entries=*/64, /*counter_bits=*/2, /*k=*/3);
-  for (std::uint64_t round = 0; round < 4; ++round) {
-    for (std::uint64_t key = 0; key < 200; ++key) cbf.insert(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
-    for (std::uint64_t key = 0; key < 200; ++key) cbf.remove(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
-    // Removing keys that were never inserted is a defined no-op.
-    for (std::uint64_t key = 500; key < 520; ++key) cbf.remove(key * 64);
-    EXPECT_NO_THROW(cbf.validate());
-  }
 }
 
 TEST(EdgeCases, StreamWorkloadSurvivesQuantumBoundaries) {

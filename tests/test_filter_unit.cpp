@@ -152,6 +152,22 @@ TEST(FilterUnit, CounterSaturationSticks) {
   EXPECT_EQ(fu.saturated_counters(), 1u);
   fu.on_evict(5, 5, 0);  // stuck at max: no decrement
   EXPECT_TRUE(fu.core_filter(0).test(5));
+
+  cfg.counter_bits = 3;  // saturates at 7
+  FilterUnit wide(cfg);
+  for (LineAddr line = 5; line < 5 + 64 * 9; line += 64) wide.on_fill(line, 0, 5, 0);
+  EXPECT_EQ(wide.counter_at(5), 7);  // nine fills: saturate, never wrap
+  EXPECT_EQ(wide.saturated_counters(), 1u);
+  wide.on_evict(5, 5, 0);
+  EXPECT_EQ(wide.counter_at(5), 7);
+  EXPECT_TRUE(wide.core_filter(0).test(5));
+
+  // An evict before any fill leaves the counter at 0 and the CF bits clear.
+  wide.on_evict(9, 9, 0);
+  EXPECT_EQ(wide.counter_at(9), 0);
+  EXPECT_FALSE(wide.core_filter(0).test(9));
+  EXPECT_FALSE(wide.core_filter(1).test(9));
+  wide.validate();
 }
 
 TEST(FilterUnit, ResetClearsEverything) {
@@ -175,8 +191,40 @@ TEST(FilterUnit, Validation) {
   cfg.counter_bits = 0;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
   cfg = small_config();
+  cfg.counter_bits = 17;
+  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  cfg = small_config();
   cfg.sample_shift = 10;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  for (const unsigned k : {0u, FilterUnit::kMaxHashFunctions + 1}) {
+    cfg = small_config();
+    cfg.hash_functions = k;
+    EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument) << "k=" << k;
+  }
+  // A one-line L2 gives a one-entry filter: the XOR fold rejects it (it
+  // would otherwise loop forever on the first fill).
+  cfg = small_config();
+  cfg.cache_sets = 1;
+  cfg.cache_ways = 1;
+  cfg.hash = HashKind::Xor;
+  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+}
+
+TEST(FilterUnit, MoreHashesPolluteFaster) {
+  // §2.4 / Fig 14: the same fills set more core-filter bits with k = 4
+  // than with k = 1, so a multi-hash filter saturates faster.
+  FilterUnitConfig cfg = small_config();
+  cfg.cache_sets = 128;  // 512 entries
+  cfg.hash = HashKind::Xor;
+  FilterUnit k1(cfg);
+  cfg.hash_functions = 4;
+  FilterUnit k4(cfg);
+  for (LineAddr line = 0; line < 300; ++line) {
+    const LineAddr scattered = line * 0x9e3779b97f4a7c15ull;
+    k1.on_fill(scattered, 0, line % 128, line % 4);
+    k4.on_fill(scattered, 0, line % 128, line % 4);
+  }
+  EXPECT_GT(k4.core_filter_fill(0), k1.core_filter_fill(0));
 }
 
 TEST(FilterUnit, FillRatioDiagnostics) {

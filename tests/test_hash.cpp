@@ -99,6 +99,16 @@ TEST(IndexHash, RejectsZeroEntries) {
   EXPECT_THROW(IndexHash(HashKind::Xor, 0), std::invalid_argument);
 }
 
+TEST(IndexHash, RejectsSingleEntryForFoldingKinds) {
+  // One entry is a zero-bit index: the XOR fold would never advance and
+  // the multiplicative shift would be by 64.
+  for (const HashKind kind : {HashKind::Xor, HashKind::XorInverseReverse, HashKind::Multiply}) {
+    EXPECT_THROW(IndexHash(kind, 1), std::invalid_argument) << to_string(kind);
+  }
+  const IndexHash modulo(HashKind::Modulo, 1);
+  EXPECT_EQ(modulo.index(12345), 0u);
+}
+
 TEST(IndexHash, PresenceIsNotAnAddressHash) {
   EXPECT_THROW(IndexHash(HashKind::Presence, 4096), std::invalid_argument);
 }
