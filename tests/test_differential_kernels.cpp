@@ -240,6 +240,18 @@ TEST(DifferentialFilterUnit, MultiHashNarrowCountersSaturate) {
   run_filter_differential(config, 36, /*expect_saturation=*/true);
 }
 
+TEST(DifferentialCbf, FourBitSaturationSmallFilter) {
+  // 4-bit counters crammed into 32 entries by k = 8: counters pin at 15
+  // and the stuck-at-max evict path runs constantly.
+  sig::FilterUnitConfig config;
+  config.num_cores = 2;
+  config.cache_sets = 8;
+  config.cache_ways = 4;
+  config.counter_bits = 4;
+  config.hash_functions = 8;
+  run_filter_differential(config, 25, /*expect_saturation=*/true);
+}
+
 // ---------------------------------------------------------------------------
 // Word-parallel BitVector metrics vs per-bit scans.
 // ---------------------------------------------------------------------------

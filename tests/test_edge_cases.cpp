@@ -3,6 +3,7 @@
 
 #include "core/profile.hpp"
 #include "machine/machine.hpp"
+#include "sig/filter_unit.hpp"
 #include "util/check.hpp"
 #include "vm/hypervisor.hpp"
 #include "workload/benchmark_model.hpp"
@@ -147,6 +148,29 @@ TEST(EdgeCases, FilterInvariantsHoldAfterMixedRun) {
   EXPECT_TRUE(m.run_to_all_complete());
   EXPECT_NO_THROW(filter->validate());
   EXPECT_EQ(util::check_violation_total(), 0u);
+}
+
+TEST(EdgeCases, CountingBloomStaysConsistentThroughChurn) {
+  // Saturating counters plus evict-on-zero no-ops must never corrupt the
+  // counter/bit-vector agreement that validate() audits.
+  const util::ScopedCheckMode guard(util::CheckMode::Throw);
+  sig::FilterUnitConfig config;
+  config.num_cores = 2;
+  config.cache_sets = 16;
+  config.cache_ways = 4;  // 64 entries
+  config.counter_bits = 2;
+  config.hash_functions = 3;
+  sig::FilterUnit fu(config);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    for (std::uint64_t key = 0; key < 200; ++key) fu.on_fill(key * 64, key % 2, key % 16, key % 4);
+    EXPECT_NO_THROW(fu.validate());
+    for (std::uint64_t key = 0; key < 200; ++key) fu.on_evict(key * 64, key % 16, key % 4);
+    EXPECT_NO_THROW(fu.validate());
+    // Evicting lines that were never filled is a defined no-op.
+    for (std::uint64_t key = 500; key < 520; ++key) fu.on_evict(key * 64, key % 16, key % 4);
+    EXPECT_NO_THROW(fu.validate());
+  }
+  EXPECT_GT(fu.saturated_counters(), 0u);
 }
 
 TEST(EdgeCases, StreamWorkloadSurvivesQuantumBoundaries) {

@@ -152,22 +152,52 @@ TEST(FilterUnit, CounterSaturationSticks) {
   EXPECT_EQ(fu.saturated_counters(), 1u);
   fu.on_evict(5, 5, 0);  // stuck at max: no decrement
   EXPECT_TRUE(fu.core_filter(0).test(5));
+}
 
-  cfg.counter_bits = 3;  // saturates at 7
-  FilterUnit wide(cfg);
-  for (LineAddr line = 5; line < 5 + 64 * 9; line += 64) wide.on_fill(line, 0, 5, 0);
-  EXPECT_EQ(wide.counter_at(5), 7);  // nine fills: saturate, never wrap
-  EXPECT_EQ(wide.saturated_counters(), 1u);
-  wide.on_evict(5, 5, 0);
-  EXPECT_EQ(wide.counter_at(5), 7);
-  EXPECT_TRUE(wide.core_filter(0).test(5));
+// FilterUnit's shared counter array is the repo's one counting Bloom filter;
+// the CountingBloom cases pin its counter rules (§2.4, footnote 1).
 
-  // An evict before any fill leaves the counter at 0 and the CF bits clear.
-  wide.on_evict(9, 9, 0);
-  EXPECT_EQ(wide.counter_at(9), 0);
-  EXPECT_FALSE(wide.core_filter(0).test(9));
-  EXPECT_FALSE(wide.core_filter(1).test(9));
-  wide.validate();
+TEST(CountingBloom, RemoveOnZeroIsNoop) {
+  FilterUnit fu(small_config());
+  fu.on_evict(9, 9, 0);  // an evict before any fill must not underflow
+  EXPECT_EQ(fu.counter_at(9), 0);
+  EXPECT_FALSE(fu.core_filter(0).test(9));
+  EXPECT_FALSE(fu.core_filter(1).test(9));
+  fu.validate();
+  fu.on_fill(9, 1, 9, 0);
+  EXPECT_EQ(fu.counter_at(9), 1);
+  EXPECT_TRUE(fu.core_filter(1).test(9));
+}
+
+TEST(CountingBloom, SaturatedCounterSticks) {
+  // 1-bit counters saturate at 1: the second aliasing fill is absorbed, and
+  // the stuck-at-max rule means evicting both lines never clears the bit
+  // (footnote 1: L must be wide enough; this is the safe failure mode).
+  FilterUnitConfig cfg = small_config();
+  cfg.counter_bits = 1;
+  FilterUnit fu(cfg);
+  fu.on_fill(3, 0, 3, 0);
+  fu.on_fill(3 + 64, 1, 3, 1);  // same counter (modulo 64)
+  EXPECT_EQ(fu.saturated_counters(), 1u);
+  fu.on_evict(3, 3, 0);
+  fu.on_evict(3 + 64, 3, 1);
+  EXPECT_EQ(fu.counter_at(3), 1);
+  EXPECT_TRUE(fu.core_filter(0).test(3));
+  EXPECT_TRUE(fu.core_filter(1).test(3));
+  EXPECT_EQ(fu.saturated_counters(), 1u);
+}
+
+TEST(CountingBloom, ThreeBitCountersSaturateAtSeven) {
+  // The paper's L = 3 hardware: the 8th fill into one counter saturates it
+  // at 7 and the stuck-at-max rule then makes every evict a no-op.
+  FilterUnit fu(small_config());
+  for (LineAddr line = 5; line < 5 + 64 * 12; line += 64) fu.on_fill(line, 0, 5, 0);
+  EXPECT_EQ(fu.counter_at(5), 7);  // saturate, never wrap
+  EXPECT_EQ(fu.saturated_counters(), 1u);
+  for (LineAddr line = 5; line < 5 + 64 * 12; line += 64) fu.on_evict(line, 5, 0);
+  EXPECT_EQ(fu.counter_at(5), 7) << "stuck at max: evicts must not drain it";
+  EXPECT_TRUE(fu.core_filter(0).test(5));
+  fu.validate();
 }
 
 TEST(FilterUnit, ResetClearsEverything) {
@@ -191,16 +221,8 @@ TEST(FilterUnit, Validation) {
   cfg.counter_bits = 0;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
   cfg = small_config();
-  cfg.counter_bits = 17;
-  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
-  cfg = small_config();
   cfg.sample_shift = 10;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
-  for (const unsigned k : {0u, FilterUnit::kMaxHashFunctions + 1}) {
-    cfg = small_config();
-    cfg.hash_functions = k;
-    EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument) << "k=" << k;
-  }
   // A one-line L2 gives a one-entry filter: the XOR fold rejects it (it
   // would otherwise loop forever on the first fill).
   cfg = small_config();
@@ -208,6 +230,18 @@ TEST(FilterUnit, Validation) {
   cfg.cache_ways = 1;
   cfg.hash = HashKind::Xor;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+}
+
+TEST(CountingBloom, Validation) {
+  // Counter width L in [1, 16] and k in [1, kMaxHashFunctions].
+  FilterUnitConfig cfg = small_config();
+  cfg.counter_bits = 17;
+  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  for (const unsigned k : {0u, FilterUnit::kMaxHashFunctions + 1}) {
+    cfg = small_config();
+    cfg.hash_functions = k;
+    EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument) << "k=" << k;
+  }
 }
 
 TEST(FilterUnit, MoreHashesPolluteFaster) {
