@@ -32,7 +32,8 @@ int run(int argc, char** argv) {
 
   machine::MachineConfig cfg = machine::core2duo_config();
   cfg.hierarchy.signature.hash = sig::parse_hash_kind(hash);
-  cfg.hierarchy.signature.sample_shift = static_cast<unsigned>(sample_shift);
+  cfg.hierarchy.signature.sample_shift =
+      util::ArgParser::narrow_unsigned(sample_shift, "sample-shift");
   machine::Machine m(cfg);
 
   workload::ScaleConfig scale;

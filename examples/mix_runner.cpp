@@ -49,7 +49,8 @@ int run(int argc, char** argv) {
   config.machine.hierarchy.num_cores = cores;
   config.machine.hierarchy.l2.size_bytes = l2_kb * 1024;
   config.machine.hierarchy.signature.hash = sig::parse_hash_kind(hash);
-  config.machine.hierarchy.signature.sample_shift = static_cast<unsigned>(sample_shift);
+  config.machine.hierarchy.signature.sample_shift =
+      util::ArgParser::narrow_unsigned(sample_shift, "sample-shift");
   config.sync_scale();
   config.scale.length_scale = scale;
   config.allocator = allocator;

@@ -44,7 +44,7 @@ int run(int argc, char** argv) {
   config.pipeline.allocator = allocator;
   config.pipeline.seed = seed;
   config.pipeline.measure_max_cycles = 4'000'000'000ull;
-  config.confirm_windows = static_cast<unsigned>(confirm);
+  config.confirm_windows = util::ArgParser::narrow_unsigned(confirm, "confirm");
 
   obs::PhaseTimings timings;
   const auto solo = [&] {

@@ -70,7 +70,6 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,6 +78,7 @@ _ANALYZE_DIR = str(Path(__file__).resolve().parent)
 if _ANALYZE_DIR not in sys.path:
     sys.path.insert(0, _ANALYZE_DIR)
 
+import compiledb
 import waivers
 from waivers import Finding, Waiver, WaiverGrammar, strip_strings_and_comments
 
@@ -525,39 +525,12 @@ def _check_rng_shared(scan: FileScan, rng_vars: set[str]) -> list[Finding]:
 # File discovery (compile_commands.json-driven, like layering.py)
 
 
-def find_compile_db(root: Path) -> Path | None:
-    candidates = [root / "compile_commands.json", root / "build-tidy" / "compile_commands.json"]
-    candidates += sorted(root.glob("build*/compile_commands.json"))
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-def compile_db_sources(path: Path) -> set[Path]:
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        fail_usage(f"cannot read compile database {path}: {exc}")
-    out = set()
-    db_dir = path.parent
-    for entry in entries:
-        directory = Path(entry.get("directory", "."))
-        if not directory.is_absolute():
-            directory = (db_dir / directory).resolve()
-        file = Path(entry["file"])
-        if not file.is_absolute():
-            file = (directory / file).resolve()
-        out.add(file)
-        _ = shlex  # kept for parity with layering.py's db handling
-    return out
-
-
 def collect_files(root: Path, modules: list[str], compile_db: Path | None) -> list[Path]:
     src_root = root / "src"
     if not src_root.is_dir():
         fail_usage(f"no src/ directory under {root}")
-    db_sources = compile_db_sources(compile_db) if compile_db else None
+    db_sources = ({entry.file for entry in compiledb.read_entries(compile_db, fail_usage)}
+                  if compile_db else None)
     files = []
     # Example binaries drive the deterministic modules end-to-end, so they are
     # held to the same contract (a wall-clock or hardcoded seed in an example
@@ -655,7 +628,7 @@ def main(argv: list[str]) -> int:
         if compile_db is not None:
             fail_usage("--compile-db and --no-compile-db are mutually exclusive")
     elif compile_db is None:
-        compile_db = find_compile_db(root)   # optional: tree scan without one
+        compile_db = compiledb.find_compile_db(root)   # optional: tree scan without one
     elif not compile_db.is_file():
         fail_usage(f"compile database {compile_db} does not exist")
     registry = args.registry

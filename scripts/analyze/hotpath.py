@@ -16,8 +16,11 @@ How it works (no compiler plugin, no source parsing of attributes):
      dedicated ELF section (.text.symhot / .text.symhot_cold) WITHOUT
      inhibiting inlining, so the standalone copy the analyzer reads is the
      same code callers inline.
-  2. Every relwithdebinfo object file under the build tree's src/ is
-     disassembled with `objdump -drl`. Call edges come from the text
+  2. Every relwithdebinfo object the build tree's compile_commands.json
+     lists for a src/ translation unit (its `output`, else the `-o` operand
+     of its command) is disassembled with `objdump -drl`
+     (stale objects of deleted sources are not in the database, so they are
+     never scanned). Call edges come from the text
      relocations (direct calls and tail jumps) plus objdump's local symbol
      resolution; `call *...` sites are recorded as indirect with the
      file:line the DWARF line table attributes to them.
@@ -68,6 +71,7 @@ _ANALYZE_DIR = str(Path(__file__).resolve().parent)
 if _ANALYZE_DIR not in sys.path:
     sys.path.insert(0, _ANALYZE_DIR)
 
+import compiledb
 import waivers
 from waivers import Finding, Waiver, WaiverGrammar
 
@@ -108,7 +112,7 @@ FORBIDDEN: list[tuple[str, re.Pattern[str], str]] = [
                 r"|puts|fputs|fputc|putchar|fwrite|write|fflush|perror)$"
                 r"|^_ZNSo|^_ZNSt13basic_ostream|^_ZSt16__ostream_insert"
                 r"|^_ZNSt8ios_base|^_ZNSt9basic_ios"),
-     "emits I/O on the hot path -- route through a SYM_COLD recorder sink"),
+     "emits I/O on the hot path -- route through a SYM_COLD sink"),
 ]
 
 # Externs with known-pure implementations the traversal accepts silently.
@@ -521,8 +525,23 @@ def scan_source_waivers(root: Path) -> tuple[list[Waiver], list[Finding]]:
 # Driver
 
 
-def discover_objects(build_dir: Path) -> list[Path]:
-    return sorted((build_dir / "src").rglob("*.o"))
+def discover_objects(build_dir: Path, repo_root: Path) -> list[Path]:
+    """The objects of <repo_root>/src translation units, as
+    <build_dir>/compile_commands.json records them (`output`, else `-o`)."""
+    db_path = build_dir / "compile_commands.json"
+    if not db_path.is_file():
+        fail_usage(f"no {db_path} -- configure the tree with CMake (the top-level "
+                   "CMakeLists.txt exports the compile database)")
+    src_root = repo_root / "src"
+    objects = []
+    for entry in compiledb.read_entries(db_path, fail_usage):
+        if not entry.file.resolve().is_relative_to(src_root):
+            continue
+        if entry.output is None:
+            fail_usage(f"{db_path}: the entry for {entry.file} names no object "
+                       "(no 'output' field and no -o in its command)")
+        objects.append(entry.output)
+    return sorted(objects)
 
 
 def analyze(objects: list[Path], repo_root: Path, objdump: str, cxxfilt: str,
@@ -532,7 +551,7 @@ def analyze(objects: list[Path], repo_root: Path, objdump: str, cxxfilt: str,
     local_nodes: dict[str, dict[str, FuncNode]] = {}
     for obj in objects:
         if not obj.is_file():
-            fail_usage(f"object file {obj} does not exist")
+            fail_usage(f"object file {obj} does not exist -- build first")
         parse_object(objdump, obj, nodes, local_nodes)
 
     graph = Graph(nodes, local_nodes)
@@ -593,8 +612,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--root", type=Path, default=None,
                         help="repository root (default: two levels above this script)")
     parser.add_argument("--build-dir", type=Path, default=None,
-                        help="build tree holding the relwithdebinfo objects "
-                             "(default: <root>/build-relwithdebinfo, then <root>/build)")
+                        help="build tree holding the relwithdebinfo objects and their "
+                             "compile_commands.json (default: <root>/build-relwithdebinfo, "
+                             "then <root>/build)")
     parser.add_argument("--objects", type=Path, nargs="+", default=None,
                         help="explicit object files to analyze (overrides --build-dir)")
     parser.add_argument("--roots", type=Path, default=None,
@@ -617,7 +637,7 @@ def main(argv: list[str]) -> int:
         build_dir = args.build_dir
         if build_dir is None:
             for candidate in (root / "build-relwithdebinfo", root / "build"):
-                if (candidate / "src").is_dir():
+                if (candidate / "compile_commands.json").is_file():
                     build_dir = candidate
                     break
             else:
@@ -625,9 +645,9 @@ def main(argv: list[str]) -> int:
                            "--objects; the gate reads relwithdebinfo objects)")
         elif not build_dir.is_dir():
             fail_usage(f"build dir {build_dir} does not exist")
-        objects = discover_objects(build_dir)
+        objects = discover_objects(build_dir, root)
         if not objects:
-            fail_usage(f"no object files under {build_dir}/src -- build first")
+            fail_usage(f"{build_dir}/compile_commands.json lists no src/ translation unit")
     roots_path = args.roots or root / "scripts" / "analyze" / "hotpath_roots.toml"
     if not roots_path.is_file():
         fail_usage(f"roots registry {roots_path} does not exist")

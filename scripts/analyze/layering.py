@@ -36,10 +36,15 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import shlex
 import sys
 import tomllib
 from pathlib import Path
+
+_ANALYZE_DIR = str(Path(__file__).resolve().parent)
+if _ANALYZE_DIR not in sys.path:
+    sys.path.insert(0, _ANALYZE_DIR)
+
+import compiledb
 
 HEADER_SUFFIXES = {".hpp", ".h", ".hh"}
 SOURCE_SUFFIXES = {".cpp", ".cc"}
@@ -129,31 +134,11 @@ def transitive_allowed(layers: dict[str, list[str]]) -> dict[str, set[str]]:
 # Compile database
 
 
-def find_compile_db(root: Path) -> Path | None:
-    candidates = [root / "compile_commands.json", root / "build-tidy" / "compile_commands.json"]
-    candidates += sorted(root.glob("build*/compile_commands.json"))
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 def load_compile_db(path: Path) -> list[tuple[Path, list[Path]]]:
     """-> [(translation unit, include search dirs)], repo-external TUs kept."""
-    try:
-        entries = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        fail_usage(f"cannot read compile database {path}: {exc}")
-    db_dir = path.parent
     out = []
-    for entry in entries:
-        directory = Path(entry.get("directory", "."))
-        if not directory.is_absolute():
-            directory = (db_dir / directory).resolve()
-        file = Path(entry["file"])
-        if not file.is_absolute():
-            file = (directory / file).resolve()
-        args = entry.get("arguments") or shlex.split(entry.get("command", ""))
+    for entry in compiledb.read_entries(path, fail_usage):
+        args = entry.arguments
         inc_dirs = []
         i = 0
         while i < len(args):
@@ -170,8 +155,8 @@ def load_compile_db(path: Path) -> list[tuple[Path, list[Path]]]:
                 i += 1
                 continue
             i += 1
-            inc_dirs.append(raw if raw.is_absolute() else (directory / raw).resolve())
-        out.append((file, inc_dirs))
+            inc_dirs.append(raw if raw.is_absolute() else (entry.directory / raw).resolve())
+        out.append((entry.file, inc_dirs))
     return out
 
 
@@ -406,7 +391,7 @@ def main(argv: list[str]) -> int:
 
     compile_db: list[tuple[Path, list[Path]]] = []
     if not args.skip_orphans:
-        db_path = args.compile_db or find_compile_db(root)
+        db_path = args.compile_db or compiledb.find_compile_db(root)
         if db_path is None:
             fail_usage(
                 f"no compile_commands.json under {root} "

@@ -55,7 +55,7 @@ if [[ ! -f "$build_dir/compile_commands.json" ]]; then
   if cmake --list-presets >/dev/null 2>&1; then
     cmake --preset tidy >/dev/null
   else
-    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Debug -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+    cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
   fi
 fi
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "util/check.hpp"
 #include "util/hotpath.hpp"
 
@@ -70,13 +69,6 @@ Hierarchy::Hierarchy(HierarchyConfig config) : config_(std::move(config)) {
   }
 }
 
-SYM_COLD void Hierarchy::record_l2_eviction(LineAddr victim_line, std::size_t set,
-                                            std::size_t way, std::size_t core) {
-  SYM_RECORD((obs::L2EvictionEvent{victim_line, static_cast<std::uint32_t>(set),
-                                   static_cast<std::uint32_t>(way),
-                                   static_cast<std::uint32_t>(core)}));
-}
-
 SYM_HOT MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t cluster, Addr addr,
                                               bool is_write, Cache& l1, Cache& l2, Tlb& tlb,
                                               sig::FilterUnit* filter, StreamState& ss) {
@@ -117,7 +109,6 @@ SYM_HOT MemAccessResult Hierarchy::access_one(std::size_t core, std::size_t clus
   // records the fill before any L3-eviction back-invalidation could retire
   // the very line just filled.
   if (l2r.evicted) {
-    record_l2_eviction(l2r.victim_line, l2r.set, l2r.way, core);
     // Enforce L1 ⊆ L2 inclusion within the cluster: the displaced line may
     // not linger in any L1 above this L2 (degenerate shared = all L1s;
     // private = the core's own, since clusters are single cores).

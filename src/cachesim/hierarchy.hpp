@@ -245,14 +245,6 @@ class Hierarchy {
                              Cache& l1, Cache& l2, Tlb& tlb, sig::FilterUnit* filter,
                              StreamState& ss);
 
-  /// Flight-recorder emission for an L2 eviction. A SYM_COLD sink: the
-  /// recorder's enabled() check, the event construction (a std::variant
-  /// whose cleanup statically reaches operator delete) and the guarded
-  /// global() accessor all live behind this noinline boundary so the
-  /// symhot purity proof of access_one() stays allocation- and lock-free.
-  void record_l2_eviction(LineAddr victim_line, std::size_t set, std::size_t way,
-                          std::size_t core);
-
   HierarchyConfig config_;
   HierarchyTopology topo_{};
   std::size_t clusters_ = 1;

@@ -1,6 +1,7 @@
 #include "core/online.hpp"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "core/profile.hpp"
 #include "obs/metrics.hpp"
@@ -21,10 +22,19 @@ OnlineRun finish(machine::Machine& m, const std::vector<machine::TaskId>& ids, b
   return run;
 }
 
+/// Every core needs a program: an empty or short mix would "measure" idle
+/// cores and report a vacuous fairness of 1.
+void require_full_mix(const PipelineConfig& config, const std::vector<std::string>& mix) {
+  if (mix.size() < config.machine.hierarchy.num_cores) {
+    throw std::invalid_argument("need at least as many programs as cores");
+  }
+}
+
 }  // namespace
 
 OnlineRun run_online(const OnlineConfig& config, const std::vector<std::string>& mix) {
   const PipelineConfig& pc = config.pipeline;
+  require_full_mix(pc, mix);
   machine::Machine m(pc.machine);
   const auto ids = add_mix_tasks(m, mix, pc.scale, pc.seed);
   auto allocator = sched::make_allocator(pc.allocator, pc.seed);
@@ -65,6 +75,7 @@ OnlineRun run_online(const OnlineConfig& config, const std::vector<std::string>&
 
 OnlineRun run_online_baseline(const OnlineConfig& config, const std::vector<std::string>& mix) {
   const PipelineConfig& pc = config.pipeline;
+  require_full_mix(pc, mix);
   machine::Machine m(pc.machine);
   const auto ids = add_mix_tasks(m, mix, pc.scale, pc.seed);
   const bool completed = m.run_to_all_complete(pc.measure_max_cycles);
@@ -84,6 +95,7 @@ double jain_fairness(const std::vector<double>& slowdowns) {
 
 std::vector<std::uint64_t> solo_user_cycles(const PipelineConfig& config,
                                             const std::vector<std::string>& mix) {
+  require_full_mix(config, mix);
   std::vector<std::uint64_t> solo;
   solo.reserve(mix.size());
   for (std::size_t i = 0; i < mix.size(); ++i) {

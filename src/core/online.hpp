@@ -40,7 +40,9 @@ struct OnlineRun {
 };
 
 /// Run @p mix with the allocator live (per OnlineConfig); returns per-task
-/// user times and re-pinning statistics.
+/// user times and re-pinning statistics. Like run_online_baseline and
+/// solo_user_cycles, throws std::invalid_argument when @p mix has fewer
+/// programs than the machine has cores.
 [[nodiscard]] OnlineRun run_online(const OnlineConfig& config,
                                    const std::vector<std::string>& mix);
 

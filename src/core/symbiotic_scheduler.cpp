@@ -5,7 +5,6 @@
 
 #include "core/profile.hpp"
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "sched/policy.hpp"
 #include "util/log.hpp"
 #include "workload/parsec_model.hpp"
@@ -64,9 +63,7 @@ sched::Allocation SymbioticScheduler::run_phase1(machine::Machine& m,
 
   // Fixed emulation window; finished benchmarks restart and keep feeding
   // signatures (§4.1 fast-forwards then emulates a fixed instruction count).
-  SYM_RECORD((obs::PhaseEvent{m.now(), "phase1.emulate"}));
   m.run_for(config_.emulation_cycles);
-  SYM_RECORD((obs::PhaseEvent{m.now(), "phase1.vote"}));
 
   if (votes_.empty()) {
     SYMBIOSIS_LOG_WARN("phase 1 cast no votes (emulation too short?); using default mapping");

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 #include "util/check.hpp"
 
 namespace symbiosis::machine {
@@ -169,9 +168,6 @@ bool Machine::switch_in(std::size_t core) {
 
   ++tasks_[id]->counters().context_switches;
   ++stats_.context_switches;
-  SYM_RECORD((obs::ContextSwitchEvent{clock_[core], static_cast<std::uint32_t>(core),
-                                      static_cast<std::uint64_t>(id),
-                                      static_cast<std::uint64_t>(tasks_[id]->pid())}));
   return true;
 }
 

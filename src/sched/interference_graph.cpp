@@ -2,32 +2,7 @@
 
 #include <stdexcept>
 
-#include "obs/recorder.hpp"
-
 namespace symbiosis::sched {
-
-namespace {
-
-/// Flight-recorder payload for one graph-based allocator decision: the
-/// upper triangle of @p w plus the cut/intra split of the chosen mapping.
-/// Only built when the recorder is enabled (SYM_RECORD skips the call).
-[[maybe_unused]] obs::AllocatorDecisionEvent decision_event(const std::string& allocator,
-                                                            const SymMatrix& w,
-                                                            const Allocation& alloc) {
-  obs::AllocatorDecisionEvent ev;
-  ev.allocator = allocator;
-  ev.chosen_key = alloc.key();
-  ev.tasks = w.size();
-  ev.cut_weight = cut_weight(w, alloc);
-  ev.intra_weight = intra_weight(w, alloc);
-  ev.edge_weights.reserve(w.size() * (w.size() - 1) / 2);
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    for (std::size_t j = i + 1; j < w.size(); ++j) ev.edge_weights.push_back(w.at(i, j));
-  }
-  return ev;
-}
-
-}  // namespace
 
 SymMatrix build_interference_graph(const std::vector<TaskProfile>& profiles, bool weighted) {
   const std::size_t n = profiles.size();
@@ -50,9 +25,7 @@ Allocation InterferenceGraphAllocator::allocate(const std::vector<TaskProfile>& 
     throw std::invalid_argument("InterferenceGraphAllocator: fewer tasks than groups");
   }
   const SymMatrix w = build_interference_graph(profiles, /*weighted=*/false);
-  Allocation alloc = balanced_min_cut(w, groups);
-  SYM_RECORD(decision_event(name(), w, alloc));
-  return alloc;
+  return balanced_min_cut(w, groups);
 }
 
 Allocation WeightedGraphAllocator::allocate(const std::vector<TaskProfile>& profiles,
@@ -61,9 +34,7 @@ Allocation WeightedGraphAllocator::allocate(const std::vector<TaskProfile>& prof
     throw std::invalid_argument("WeightedGraphAllocator: fewer tasks than groups");
   }
   const SymMatrix w = build_interference_graph(profiles, /*weighted=*/true);
-  Allocation alloc = balanced_min_cut(w, groups);
-  SYM_RECORD(decision_event(name(), w, alloc));
-  return alloc;
+  return balanced_min_cut(w, groups);
 }
 
 }  // namespace symbiosis::sched

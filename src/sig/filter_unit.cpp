@@ -1,6 +1,7 @@
 #include "sig/filter_unit.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -12,12 +13,11 @@
 
 namespace symbiosis::sig {
 
-FilterUnit::FilterUnit(FilterUnitConfig config)
-    : config_(config),
-      presence_mode_(config.hash == HashKind::Presence),
-      single_index_(presence_mode_ || config.hash_functions == 1),
-      counter_max_(static_cast<std::uint16_t>((1u << config.counter_bits) - 1)),
-      counters_(config.entries(), 0) {
+namespace {
+
+/// Rejects an invalid configuration before any member initializer shifts by
+/// counter_bits or sample_shift (a shift by >= the operand's width is UB).
+FilterUnitConfig validated(const FilterUnitConfig& config) {
   if (config.num_cores == 0) throw std::invalid_argument("FilterUnit: num_cores must be > 0");
   if (!util::is_pow2(config.cache_sets)) {
     throw std::invalid_argument("FilterUnit: cache_sets must be a power of two");
@@ -25,12 +25,24 @@ FilterUnit::FilterUnit(FilterUnitConfig config)
   if (config.counter_bits == 0 || config.counter_bits > 16) {
     throw std::invalid_argument("FilterUnit: counter_bits must be in [1, 16]");
   }
-  if ((config.cache_sets >> config.sample_shift) == 0) {
+  if (config.sample_shift >= std::numeric_limits<std::size_t>::digits ||
+      (config.cache_sets >> config.sample_shift) == 0) {
     throw std::invalid_argument("FilterUnit: sample_shift leaves no sampled sets");
   }
-  if (config.hash_functions == 0 || config.hash_functions > kMaxHashFunctions) {
+  if (config.hash_functions == 0 || config.hash_functions > FilterUnit::kMaxHashFunctions) {
     throw std::invalid_argument("FilterUnit: hash_functions must be in [1, 8]");
   }
+  return config;
+}
+
+}  // namespace
+
+FilterUnit::FilterUnit(FilterUnitConfig config)
+    : config_(validated(config)),
+      presence_mode_(config.hash == HashKind::Presence),
+      single_index_(presence_mode_ || config.hash_functions == 1),
+      counter_max_(static_cast<std::uint16_t>((1u << config.counter_bits) - 1)),
+      counters_(config.entries(), 0) {
   if (!presence_mode_) {
     hash_.emplace(config.hash, config.entries());
   }

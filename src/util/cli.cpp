@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
+#include <stdexcept>
 #include <sstream>
 
 #include "util/log.hpp"
@@ -71,6 +73,13 @@ bool& ArgParser::add_flag(std::string name, std::string help) {
   auto& ref = *opt->b;
   options_.push_back(std::move(opt));
   return ref;
+}
+
+unsigned ArgParser::narrow_unsigned(std::uint64_t value, const std::string& name) {
+  if (value > std::numeric_limits<unsigned>::max()) {
+    throw std::out_of_range("--" + name + " " + std::to_string(value) + " is out of range");
+  }
+  return static_cast<unsigned>(value);
 }
 
 ArgParser::Option* ArgParser::find(const std::string& name) {

@@ -32,6 +32,9 @@ class ArgParser {
   /// `--name` sets the flag; `--name=true|1|yes` sets and `--name=false|0|no`
   /// clears it; any other value is malformed.
   bool& add_flag(std::string name, std::string help);
+  /// A parsed add_u64 value narrowed to unsigned; a value that does not fit
+  /// throws std::out_of_range naming --@p name instead of wrapping.
+  static unsigned narrow_unsigned(std::uint64_t value, const std::string& name);
 
   /// Parse argv. On "--help" prints usage and returns false; on a malformed
   /// or unknown argument prints an error plus usage and returns false.

@@ -15,7 +15,7 @@
 // directions like symdet's waiver registry.
 //
 // SYM_COLD marks a sanctioned cold SINK on an otherwise-hot path: a
-// noinline out-of-line boundary (flight-recorder emission, error
+// noinline out-of-line boundary (one-time SIMD backend binding, error
 // diagnosis) that the analyzer deliberately does not traverse into. Sinks
 // live in .text.symhot_cold and must be registered as [[sink]] entries
 // with a reason. Keep sink bodies trivial to reason about — everything

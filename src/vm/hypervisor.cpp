@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/recorder.hpp"
 
 namespace symbiosis::vm {
 
@@ -76,19 +75,7 @@ void Hypervisor::set_domain_affinity(DomainId dom, std::size_t core) {
 }
 
 bool Hypervisor::run_to_all_complete(std::uint64_t max_cycles) {
-  const bool completed = machine_->run_to_all_complete(max_cycles);
-  // One VM-exit marker per measured domain (Dom0 is background and never
-  // "exits"): the §4.2 event the virtualized pipeline measures.
-  for (DomainId d = 0; d < domains_.size(); ++d) {
-    if (domains_[d].vcpus.size() == 1 &&
-        machine_->task(domains_[d].vcpus.front()).background) {
-      continue;
-    }
-    SYM_RECORD((obs::VmExitEvent{machine_->now(), static_cast<std::uint64_t>(d),
-                                 domains_[d].name, completed ? "completed" : "cycle-cap",
-                                 domain_user_cycles(d)}));
-  }
-  return completed;
+  return machine_->run_to_all_complete(max_cycles);
 }
 
 std::uint64_t Hypervisor::domain_user_cycles(DomainId dom) const {

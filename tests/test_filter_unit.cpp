@@ -220,9 +220,13 @@ TEST(FilterUnit, Validation) {
   cfg = small_config();
   cfg.counter_bits = 0;
   EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
-  cfg = small_config();
-  cfg.sample_shift = 10;
-  EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument);
+  // 64 and 65 must be rejected before cache_sets >> sample_shift runs: a
+  // shift by the word width is undefined, and x86 masks 64 to 0.
+  for (const unsigned shift : {10u, 64u, 65u}) {
+    cfg = small_config();
+    cfg.sample_shift = shift;
+    EXPECT_THROW(FilterUnit{cfg}, std::invalid_argument) << "shift " << shift;
+  }
   // A one-line L2 gives a one-entry filter: the XOR fold rejects it (it
   // would otherwise loop forever on the first fill).
   cfg = small_config();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace symbiosis::core {
 namespace {
 
@@ -48,6 +50,16 @@ TEST(Online, ConfirmationHysteresisLimitsRepinning) {
   const OnlineRun eager_run = run_online(eager, mix);
   const OnlineRun cautious_run = run_online(cautious, mix);
   EXPECT_LE(cautious_run.repinnings, eager_run.repinnings);
+}
+
+TEST(Online, RejectsMixWithFewerProgramsThanCores) {
+  const OnlineConfig config = tiny_online();
+  const std::vector<std::string> empty;
+  const std::vector<std::string> one = {"mcf"};
+  EXPECT_THROW((void)run_online(config, empty), std::invalid_argument);
+  EXPECT_THROW((void)run_online(config, one), std::invalid_argument);
+  EXPECT_THROW((void)run_online_baseline(config, one), std::invalid_argument);
+  EXPECT_THROW((void)solo_user_cycles(config.pipeline, empty), std::invalid_argument);
 }
 
 TEST(Online, JainFairnessIndex) {

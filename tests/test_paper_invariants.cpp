@@ -114,6 +114,32 @@ TEST(PaperInvariants, WeightSortOrderInvariant) {
   EXPECT_EQ(direct, unshuffled);
 }
 
+/// §3.3.1 metamorphic: weight sorting reads only the ORDER of the occupancy
+/// weights, so scaling every weight by one positive constant (a different
+/// filter size or sampling rate) must leave the allocation unchanged.
+TEST(PaperInvariants, WeightSortScaleInvariant) {
+  util::Rng rng(11);
+  sched::WeightSortAllocator alloc;
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t groups = 2 + rng.next_below(3);
+    const std::size_t tasks = groups + rng.next_below(3 * groups);
+    std::vector<sched::TaskProfile> profiles(tasks);
+    for (std::size_t i = 0; i < tasks; ++i) {
+      profiles[i].task_index = i;
+      // Every third task repeats its predecessor's weight: ties must keep
+      // their stable order under scaling too.
+      profiles[i].occupancy_weight = (i % 3 == 2) ? profiles[i - 1].occupancy_weight
+                                                  : 1.0 + 1000.0 * rng.next_double();
+    }
+    const sched::Allocation direct = alloc.allocate(profiles, groups);
+    for (const double scale : {1e-3, 0.5, 3.0, 7.25, 1e6}) {
+      std::vector<sched::TaskProfile> scaled = profiles;
+      for (auto& p : scaled) p.occupancy_weight *= scale;
+      EXPECT_EQ(direct, alloc.allocate(scaled, groups)) << "trial " << trial << " x" << scale;
+    }
+  }
+}
+
 /// §3.3.2/§3.3.3 metamorphic: the graph allocators' MIN-CUT depends only on
 /// the interference structure, not on how tasks or cores are numbered. On 8
 /// tasks in 2 groups (the exhaustive path) with continuous random metrics the

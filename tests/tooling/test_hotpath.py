@@ -152,6 +152,83 @@ class CliErrors(unittest.TestCase):
             self.assertIn("no .text.symhot symbols", proc.stderr)
 
 
+@unittest.skipUnless(GXX and OBJDUMP, "needs g++ and objdump on PATH")
+class CompileDatabase(unittest.TestCase):
+    """--build-dir scans the objects compile_commands.json lists for src/
+    translation units, never whatever *.o an incremental tree still holds."""
+
+    FIXTURE = FIXTURES / "clean"
+
+    def compile(self, source: Path, obj: Path) -> list[str]:
+        args = [GXX, "-std=c++20", "-O2", "-g", "-c", str(source), "-o", str(obj)]
+        proc = subprocess.run(args, cwd=source.parent, capture_output=True, text=True)
+        self.assertEqual(proc.returncode, 0, f"compile failed: {proc.stderr}")
+        return args
+
+    def make_tree(self, tmp: str, shape: str = "output") -> Path:
+        """A build tree holding the clean fixture's objects, their database
+        and one stale object of a source the database no longer lists.
+        @p shape says how an entry names its object: "output" (Ninja: an
+        `output` field relative to `directory`), "command" (Makefiles: only
+        the `-o` in `command`) or "neither"."""
+        build = Path(tmp) / "build"
+        (build / "src").mkdir(parents=True)
+        entries = []
+        for source in sorted((self.FIXTURE / "src").glob("*.cpp")):
+            obj = Path("src") / (source.stem + ".o")
+            args = self.compile(source, build / obj)
+            entry = {"directory": str(build), "file": str(source)}
+            if shape == "output":
+                entry.update(arguments=args, output=str(obj))
+            elif shape == "command":
+                entry["command"] = " ".join(args[:-2] + ["-o", str(obj)])
+            else:
+                entry["arguments"] = args[:-2]
+            entries.append(entry)
+        (build / "compile_commands.json").write_text(json.dumps(entries), encoding="utf-8")
+        self.compile(FIXTURES / "unregistered_root" / "src" / "hot.cpp",
+                     build / "src" / "stale.o")
+        return build
+
+    def run_hotpath(self, *args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, str(HOTPATH), "--root", str(self.FIXTURE),
+             "--roots", str(self.FIXTURE / "roots.toml"), *args],
+            capture_output=True, text=True)
+
+    def test_stale_object_absent_from_database_is_not_scanned(self):
+        for shape in ("output", "command"):
+            with self.subTest(shape=shape), tempfile.TemporaryDirectory() as tmp:
+                build = self.make_tree(tmp, shape)
+                json_out = Path(tmp) / "out.json"
+                proc = self.run_hotpath("--build-dir", str(build), "--json", str(json_out))
+                self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+                payload = json.loads(json_out.read_text(encoding="utf-8"))
+                self.assertEqual(payload["objects_scanned"], 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            build = self.make_tree(tmp)
+            # The stale object is not inert: scanned, it fails the registry.
+            proc = self.run_hotpath("--objects", str(build / "src" / "hot.o"),
+                                    str(build / "src" / "stale.o"))
+            self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+            self.assertIn("registry/unregistered-root", proc.stdout)
+
+    def test_missing_database_is_usage_error(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            build = self.make_tree(tmp)
+            (build / "compile_commands.json").unlink()
+            proc = self.run_hotpath("--build-dir", str(build))
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("compile_commands.json", proc.stderr)
+
+    def test_entry_naming_no_object_is_usage_error(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            build = self.make_tree(tmp, "neither")
+            proc = self.run_hotpath("--build-dir", str(build))
+            self.assertEqual(proc.returncode, 2, proc.stdout + proc.stderr)
+            self.assertIn("names no object", proc.stderr)
+
+
 class WholeRepo(unittest.TestCase):
     """The real gate runs in CI against the relwithdebinfo build; locally it
     only runs when that build tree exists (the annotations' purity contract
