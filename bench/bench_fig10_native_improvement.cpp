@@ -15,6 +15,7 @@
 #include "core/report.hpp"
 #include "obs/stopwatch.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace symbiosis;
@@ -30,8 +31,9 @@ int main(int argc, char** argv) {
   core::SweepResult sweep;
   {
     obs::PhaseTimings::Scoped phase(timings, "run_sweep");
+    util::ThreadPool workers;  // one per hardware thread; the result is the same for any count
     sweep = core::run_sweep(config, workload::spec2006_pool(), 4,
-                            static_cast<std::size_t>(per_benchmark));
+                            static_cast<std::size_t>(per_benchmark), false, &workers);
   }
   const auto& summary = sweep.summary;
   bench::print_improvements("weighted interference graph, chosen-vs-worst:", summary);

@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 int main(int argc, char** argv) {
   using namespace symbiosis;
@@ -20,8 +21,9 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 11: max/avg improvement per benchmark (inside Xen-like VMs) ===\n\n");
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.virtualized = true;
+  util::ThreadPool workers;  // one per hardware thread; the result is the same for any count
   const auto summary = core::run_sweep(config, workload::spec2006_pool(), 4,
-                                       static_cast<std::size_t>(per_benchmark))
+                                       static_cast<std::size_t>(per_benchmark), false, &workers)
                            .summary;
   bench::print_improvements("weighted interference graph, chosen-vs-worst, VM phase 2:", summary);
   std::printf(

@@ -13,6 +13,7 @@
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 #include "workload/parsec_model.hpp"
 
 int main(int argc, char** argv) {
@@ -25,9 +26,10 @@ int main(int argc, char** argv) {
   std::printf("=== Figure 12: max/avg improvement per PARSEC program (4 threads each) ===\n\n");
   core::PipelineConfig config = bench::default_pipeline(seed);
   config.scale.length_scale = 0.6;  // 16 schedulable threads per mix
+  util::ThreadPool workers;  // one per hardware thread; the result is the same for any count
   const auto summary =
       core::run_sweep(config, workload::parsec_pool(), 4,
-                      static_cast<std::size_t>(per_benchmark), /*multithreaded=*/true)
+                      static_cast<std::size_t>(per_benchmark), /*multithreaded=*/true, &workers)
           .summary;
   bench::print_improvements("two-phase multithreaded allocation, chosen-vs-worst-of-sample:",
                             summary);

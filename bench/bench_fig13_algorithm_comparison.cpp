@@ -7,15 +7,12 @@
 // interference graph can trail both. We add the OS-default and the
 // related-work miss-rate heuristic as anchors, and an ablation of the
 // allocator invocation period (the paper's 100 ms).
-//
-// Implementation note: all mappings of a mix are measured ONCE; each
-// algorithm then only pays for its phase-1 emulation and is charged the
-// measured runtime of whatever mapping it voted for.
+#include <algorithm>
 #include <cstdio>
-#include <map>
 
 #include "bench_common.hpp"
 #include "util/cli.hpp"
+#include "util/threadpool.hpp"
 
 using namespace symbiosis;
 
@@ -56,30 +53,21 @@ int main(int argc, char** argv) {
     table.set_header(header);
   }
 
-  // Measure all mappings of each mix once.
-  std::vector<core::MixOutcome> measured(mixes.size());
+  // One grid cell per (mix, algorithm), mix-major; the cells of a mix share
+  // its measured mappings.
   const core::PipelineConfig base = bench::default_pipeline(seed);
-  for (std::size_t i = 0; i < mixes.size(); ++i) {
-    measured[i].mix = mixes[i];
-    for (const auto& alloc : sched::enumerate_balanced_allocations(mixes[i].size(), 2)) {
-      measured[i].mappings.push_back(core::measure_mapping(base, mixes[i], alloc));
-    }
-  }
+  util::ThreadPool workers;  // one per hardware thread; the result is the same for any count
+  const core::SweepGridResult grid =
+      core::run_sweep_grid(base, mixes, algorithms, 1, false, &workers);
+  const auto cell = [&](std::size_t mix, std::size_t algorithm) -> const core::MixOutcome& {
+    return grid.outcomes[mix * algorithms.size() + algorithm];
+  };
 
-  for (const auto& algorithm : algorithms) {
-    std::vector<std::string> row = {algorithm};
+  for (std::size_t a = 0; a < algorithms.size(); ++a) {
+    std::vector<std::string> row = {algorithms[a]};
     double total = 0.0;
     for (std::size_t i = 0; i < mixes.size(); ++i) {
-      core::PipelineConfig config = base;
-      config.allocator = algorithm;
-      core::SymbioticScheduler pipeline(config);
-      const sched::Allocation chosen = pipeline.choose_allocation(mixes[i]);
-      core::MixOutcome outcome = measured[i];
-      outcome.chosen = 0;
-      for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-        if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
-      }
-      const double improvement = mean_improvement(outcome);
+      const double improvement = mean_improvement(cell(i, a));
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));
     }
@@ -91,7 +79,8 @@ int main(int argc, char** argv) {
   {
     std::vector<std::string> row = {"(oracle best mapping)"};
     double total = 0.0;
-    for (auto& outcome : measured) {
+    for (std::size_t i = 0; i < mixes.size(); ++i) {
+      core::MixOutcome outcome = cell(i, 0);
       double best = 0.0;
       for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
         outcome.chosen = k;
@@ -111,17 +100,21 @@ int main(int argc, char** argv) {
   // §4.1 uses it; shorter windows = fewer samples per vote).
   std::printf("\nablation: allocator period (weighted-graph, first mix):\n");
   util::TextTable ablation({"period (Mcycles)", "improvement"});
-  for (const std::uint64_t period : {5'000'000ull, 10'000'000ull, 20'000'000ull, 40'000'000ull}) {
+  const std::vector<std::uint64_t> periods = {5'000'000, 10'000'000, 20'000'000, 40'000'000};
+  std::vector<sched::Allocation> chosen(periods.size());
+  workers.parallel_for(0, periods.size(), [&](std::size_t p) {
     core::PipelineConfig config = base;
-    config.allocator_period_cycles = period;
+    config.allocator_period_cycles = periods[p];
     core::SymbioticScheduler pipeline(config);
-    const sched::Allocation chosen = pipeline.choose_allocation(mixes[0]);
-    core::MixOutcome outcome = measured[0];
-    outcome.chosen = 0;
-    for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-      if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
-    }
-    ablation.add_row({util::TextTable::fmt(static_cast<double>(period) / 1e6, 0),
+    chosen[p] = pipeline.choose_allocation(mixes[0]);
+  });
+  const auto weighted_graph = static_cast<std::size_t>(
+      std::find(algorithms.begin(), algorithms.end(), "weighted-graph") - algorithms.begin());
+  for (std::size_t p = 0; p < periods.size(); ++p) {
+    // A pick outside the measured mappings is measured, not charged another's runtime.
+    core::MixOutcome outcome = cell(0, weighted_graph);
+    outcome.chosen = core::locate_or_measure(outcome, base, chosen[p]);
+    ablation.add_row({util::TextTable::fmt(static_cast<double>(periods[p]) / 1e6, 0),
                       util::TextTable::pct(mean_improvement(outcome))});
   }
   ablation.print();

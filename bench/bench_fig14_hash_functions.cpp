@@ -6,6 +6,7 @@
 // processes, convey no information, and leave the default schedule in
 // place. We reproduce the comparison and add the paper's other saturation
 // argument as an ablation: k = 2 hash functions on the same small filter.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -96,10 +97,15 @@ int main(int argc, char** argv) {
       core::SymbioticScheduler pipeline(config);
       const sched::Allocation chosen = pipeline.choose_allocation(mixes[i]);
       core::MixOutcome outcome = measured[i];
-      outcome.chosen = 0;
-      for (std::size_t k = 0; k < outcome.mappings.size(); ++k) {
-        if (outcome.mappings[k].allocation == chosen) outcome.chosen = k;
+      const auto it = std::find_if(
+          outcome.mappings.begin(), outcome.mappings.end(),
+          [&](const core::MappingRun& run) { return run.allocation == chosen; });
+      if (it == outcome.mappings.end()) {
+        std::fprintf(stderr, "bench_fig14: %s chose mapping %s, which mix %zu does not enumerate\n",
+                     variant.label.c_str(), chosen.key().c_str(), i);
+        return 1;
       }
+      outcome.chosen = static_cast<std::size_t>(it - outcome.mappings.begin());
       const double improvement = mean_improvement(outcome);
       total += improvement;
       row.push_back(util::TextTable::pct(improvement));

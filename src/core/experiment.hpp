@@ -35,20 +35,34 @@ struct MixOutcome {
   [[nodiscard]] bool operator==(const MixOutcome&) const = default;
 };
 
-/// Run the full experiment for one single-threaded mix. When
-/// config.virtualized is set, phase 2 measures inside VMs (phase 1 stays
-/// process-based, as in the paper — Simics could not run Xen).
+/// Run the full experiment for one single-threaded mix: phase 1, then every
+/// balanced mapping measured in enumeration order, then the chosen mapping
+/// if the enumeration lacks it. This is the sweep grid's harness for one
+/// cell with no pool. When config.virtualized is set, phase 2 measures
+/// inside VMs (phase 1 stays process-based, as in the paper — Simics could
+/// not run Xen).
 [[nodiscard]] MixOutcome run_mix_experiment(const PipelineConfig& config,
                                             const std::vector<std::string>& mix);
 
+/// Random balanced mappings a multi-threaded reference set samples.
+inline constexpr std::size_t kSampledMappings = 6;
+
 /// Multi-threaded variant: thread-level mappings cannot be enumerated
 /// exhaustively (C(16,8) for four 4-thread apps), so the reference set is
-/// {default, chosen, @p sampled_mappings random balanced mappings} and
-/// improvements are relative to the worst of that set. This substitution
-/// is recorded in DESIGN.md.
+/// {default, @p sampled_mappings random balanced mappings}, deduplicated,
+/// plus the chosen mapping, and improvements are relative to the worst of
+/// that set. This substitution is recorded in DESIGN.md.
 [[nodiscard]] MixOutcome run_mix_experiment_mt(const PipelineConfig& config,
                                                const std::vector<std::string>& mix,
-                                               std::size_t sampled_mappings = 6);
+                                               std::size_t sampled_mappings = kSampledMappings);
+
+/// Index of @p allocation in outcome.mappings (canonical comparison). A
+/// mapping the reference set lacks (phase 1 may pick one) is first measured
+/// under @p config and appended, so a vote is always charged the runtime of
+/// the mapping it chose. @p multithreaded selects measure_mapping_mt.
+[[nodiscard]] std::size_t locate_or_measure(MixOutcome& outcome, const PipelineConfig& config,
+                                            const sched::Allocation& allocation,
+                                            bool multithreaded = false);
 
 /// Deterministic sample of distinct mixes of @p mix_size from @p pool such
 /// that every pool entry appears in at least @p per_benchmark mixes.
@@ -115,14 +129,31 @@ struct SweepGridResult {
   [[nodiscard]] bool operator==(const SweepGridResult&) const = default;
 };
 
-/// Sweep the full (mix × allocator × seed-replicate) grid: every cell is an
-/// independent experiment, sharded across @p pool_threads when non-null.
-/// Results land at their cell index and replicate r > 0 derives its
-/// pipeline seed from a per-cell substream of config.seed (util::Rng
-/// .split(cell), the sanctioned per-shard pattern), so the result is
-/// BIT-IDENTICAL for any worker count — the determinism suite pins this at
-/// 1/2/8 workers. Replicate 0 keeps config.seed itself; run_sweep is the
-/// grid over {config.allocator} with one replicate.
+/// Sweep the full (mix × allocator × seed-replicate) grid over @p mixes.
+/// Cell i runs config with cells[i].allocator and cells[i].seed: replicate
+/// 0 keeps config.seed, and replicate r > 0 derives its seed from a per-cell
+/// substream of config.seed (util::Rng .split(cell index)), drawn serially
+/// before any work starts. The work is one flat task list, on
+/// @p pool_threads when non-null: one phase-1 task per cell, and one
+/// measurement task per distinct (mix, seed) and reference mapping. The
+/// measurements read neither the allocator nor anything else that differs
+/// between cells, so cells of one mix at one seed share every reference
+/// MappingRun exactly, and each mapping is measured once, not once per
+/// allocator. Outcomes are then assembled serially in cell order; a chosen
+/// mapping outside the reference set is measured there (locate_or_measure).
+/// The result is BIT-IDENTICAL for any worker count — the determinism suite
+/// pins this at 1/2/8 workers, and that every cell equals
+/// run_mix_experiment{,_mt} of its config.
+[[nodiscard]] SweepGridResult run_sweep_grid(const PipelineConfig& config,
+                                             std::vector<std::vector<std::string>> mixes,
+                                             const std::vector<std::string>& algorithms,
+                                             std::size_t seed_replicates = 1,
+                                             bool multithreaded = false,
+                                             util::ThreadPool* pool_threads = nullptr);
+
+/// The grid over sample_mixes(@p pool, @p mix_size, @p per_benchmark,
+/// config.seed); run_sweep is this grid over {config.allocator} with one
+/// replicate.
 [[nodiscard]] SweepGridResult run_sweep_grid(const PipelineConfig& config,
                                              const std::vector<std::string>& pool,
                                              std::size_t mix_size, std::size_t per_benchmark,

@@ -20,6 +20,8 @@
 
 #include "core/experiment.hpp"
 #include "machine/machine.hpp"
+#include "obs/metrics.hpp"
+#include "sched/allocation.hpp"
 #include "util/determinism.hpp"
 #include "util/rng.hpp"
 #include "util/threadpool.hpp"
@@ -178,6 +180,83 @@ TEST(Determinism, GridRejectsDegenerateArguments) {
   const PipelineConfig config = tiny_pipeline();
   EXPECT_THROW(run_sweep_grid(config, kTinyPool, 2, 1, {}), std::invalid_argument);
   EXPECT_THROW(run_sweep_grid(config, kTinyPool, 2, 1, {"default"}, 0), std::invalid_argument);
+}
+
+/// Asserts that every cell of a 2-replicate grid over @p mixes equals the
+/// standalone experiment of its own config, serially and at 1/2/8 workers:
+/// sharing measurements across cells must be invisible in the outcomes.
+void expect_cells_equal_standalone(const PipelineConfig& config,
+                                   const std::vector<std::vector<std::string>>& mixes,
+                                   const std::vector<std::string>& algorithms,
+                                   bool multithreaded) {
+  const SweepGridResult serial = run_sweep_grid(config, mixes, algorithms, 2, multithreaded);
+  ASSERT_EQ(serial.cells.size(), mixes.size() * algorithms.size() * 2);
+  ASSERT_EQ(serial.outcomes.size(), serial.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    const SweepCell& cell = serial.cells[i];
+    PipelineConfig cell_config = config;
+    cell_config.allocator = cell.allocator;
+    cell_config.seed = cell.seed;
+    const auto& mix = serial.mixes[cell.mix_index];
+    const MixOutcome standalone = multithreaded ? run_mix_experiment_mt(cell_config, mix)
+                                                : run_mix_experiment(cell_config, mix);
+    EXPECT_EQ(serial.outcomes[i], standalone)
+        << "cell " << i << " (" << cell.allocator << ", replicate " << cell.replicate << ")";
+  }
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    util::ThreadPool pool(workers);
+    EXPECT_EQ(run_sweep_grid(config, mixes, algorithms, 2, multithreaded, &pool), serial)
+        << workers << " workers";
+  }
+}
+
+TEST(Determinism, GridCellEqualsStandaloneExperiment) {
+  const std::vector<std::string> algorithms = {"weighted-graph", "default"};
+  const std::vector<std::vector<std::string>> mixes = {{"mcf", "libquantum"},
+                                                       {"povray", "gobmk"}};
+  PipelineConfig config = tiny_pipeline();
+  {
+    SCOPED_TRACE("native");
+    expect_cells_equal_standalone(config, mixes, algorithms, false);
+  }
+  {
+    SCOPED_TRACE("virtualized");
+    config.virtualized = true;
+    expect_cells_equal_standalone(config, mixes, algorithms, false);
+  }
+  {
+    SCOPED_TRACE("multithreaded");
+    PipelineConfig mt = tiny_pipeline();
+    mt.scale.length_scale = 0.02;
+    mt.emulation_cycles = 2'000'000;
+    expect_cells_equal_standalone(mt, {{"blackscholes", "swaptions"}}, algorithms, true);
+  }
+}
+
+TEST(Determinism, GridMeasuresEachMappingOnce) {
+  // Cells of one mix at one seed differ only in the allocator, which no
+  // measurement reads, so the grid measures each reference mapping once per
+  // mix, not once per allocator. Only a chosen mapping outside the
+  // reference set costs a cell its own measurement.
+  const PipelineConfig config = tiny_pipeline();
+  const std::vector<std::vector<std::string>> mixes = {{"mcf", "libquantum", "povray", "gobmk"},
+                                                       {"mcf", "hmmer", "sjeng", "povray"}};
+  const std::vector<std::string> algorithms = {"weighted-graph", "weight-sort", "default"};
+  obs::Counter& measured = obs::counter("core.mappings.measured");
+  obs::Counter& mixes_run = obs::counter("core.mixes.run");
+  const std::uint64_t measured_before = measured.value();
+  const std::uint64_t mixes_before = mixes_run.value();
+  util::ThreadPool pool(2);
+  const SweepGridResult grid = run_sweep_grid(config, mixes, algorithms, 1, false, &pool);
+
+  const std::size_t references =
+      sched::enumerate_balanced_allocations(4, config.machine.hierarchy.num_cores).size();
+  ASSERT_EQ(references, 3u);
+  std::size_t out_of_set = 0;
+  for (const auto& outcome : grid.outcomes) out_of_set += outcome.mappings.size() - references;
+  EXPECT_EQ(measured.value() - measured_before, mixes.size() * references + out_of_set);
+  EXPECT_LT(measured.value() - measured_before, grid.cells.size() * references);
+  EXPECT_EQ(mixes_run.value() - mixes_before, grid.cells.size());
 }
 
 // --- batched machine replay ----------------------------------------------
