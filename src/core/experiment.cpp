@@ -62,7 +62,9 @@ std::vector<sched::Allocation> reference_mappings(const PipelineConfig& config,
   if (!multithreaded) return sched::enumerate_balanced_allocations(mix.size(), cores);
 
   std::size_t threads = 0;
-  for (const auto& name : mix) threads += workload::make_parsec_benchmark(name, config.scale).threads;
+  for (const auto& name : mix) {
+    threads += workload::make_parsec_benchmark(name, config.scale).threads;
+  }
   const std::vector<sched::TaskProfile> dummy(threads);
   std::vector<sched::Allocation> references{sched::DefaultAllocator{}.allocate(dummy, cores)};
   std::set<std::string> seen{references.front().key()};
